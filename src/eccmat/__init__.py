@@ -33,10 +33,8 @@ from .exact import (
     CharPoly,
     Inertia,
     char_poly,
-    char_poly_leverrier,
     consecutive_nonzero_witness,
     distinct_count_exact,
-    haynsworth_check,
     inertia_exact,
     inertia_of_matrix,
     poly_gcd,
@@ -59,6 +57,7 @@ from .families import (
     star,
 )
 from .graphs import (
+    MAX_ORDER,
     Graph,
     Tree,
     TreeMeta,
@@ -68,21 +67,18 @@ from .graphs import (
     distance_matrix,
     partition_vertices,
     read_edge_list,
+    read_graph,
     read_graph6,
-    read_graph6_file,
     to_edge_list,
     tree_meta,
 )
 from .matrices import (
-    IntSymMatrix,
-    RatSymMatrix,
+    SymMatrix,
     bareiss_det,
     deep_mid_block,
     eccentricity_matrix,
     even_diameter_core,
-    is_irreducible,
     odd_diameter_core,
-    principal_minor_sum,
     schur_complement,
 )
 from .spectra import (
@@ -93,6 +89,4 @@ from .spectra import (
     eigenvalues_sym,
     group_spectrum,
     inertia_float,
-    least_eigenvalue,
-    spectral_radius,
 )

@@ -17,7 +17,6 @@ from .exact import (
     char_poly,
     consecutive_nonzero_witness,
     distinct_count_exact,
-    haynsworth_check,
     inertia_exact,
     inertia_of_matrix,
     rank_exact,
@@ -33,13 +32,12 @@ from .graphs import (
     tree_meta,
 )
 from .matrices import (
-    IntSymMatrix,
+    SymMatrix,
     bareiss_det,
     deep_mid_block,
     eccentricity_matrix,
     even_diameter_core,
     odd_diameter_core,
-    principal_minor_sum,
     schur_complement,
 )
 from .spectra import default_zero_tol, eigenvalues_sym, inertia_float
@@ -94,7 +92,7 @@ class TreeFacts:
         self.corrupt = corrupt
 
     @cached_property
-    def dist(self) -> IntSymMatrix:
+    def dist(self) -> SymMatrix:
         return distance_matrix(self.tree)
 
     @cached_property
@@ -102,13 +100,13 @@ class TreeFacts:
         return tree_meta(self.tree, self.dist)
 
     @cached_property
-    def matrix(self) -> IntSymMatrix:
-        m = eccentricity_matrix(self.dist, self.meta.ecc)
+    def matrix(self) -> SymMatrix:
+        m = eccentricity_matrix(self.dist)
         if self.corrupt and m.n >= 2:
             rows = [list(r) for r in m.rows]
             rows[0][m.n - 1] += 1
             rows[m.n - 1][0] += 1
-            m = IntSymMatrix(rows)
+            m = SymMatrix(rows)
         return m
 
     @cached_property
@@ -122,6 +120,11 @@ class TreeFacts:
     @cached_property
     def eigenvalues(self):
         return eigenvalues_sym(self.matrix)
+
+    @cached_property
+    def extremal(self) -> bool:
+        """Whether the tree is isomorphic to min_radius_tree(n)."""
+        return canonical_key(self.tree) == _extremal_key(self.tree.n)
 
 
 def _facts(t: Tree, facts: TreeFacts | None) -> TreeFacts:
@@ -262,52 +265,43 @@ def _extremal_key(n: int) -> str:
     return key
 
 
+def _bound_verdict(f: TreeFacts, theorem_id: str, sign: int) -> Verdict:
+    """sign * eigenvalue >= min_radius_bound(n) for the largest (sign 1) or
+    least (sign -1) eigenvalue, with equality required on the extremal tree."""
+    bound = min_radius_bound(f.tree.n)
+    target = sign * bound
+    value = f.eigenvalues[0 if sign > 0 else -1]
+    if f.extremal:
+        passed = abs(value - target) <= FLOAT_TOL
+        expected = target
+        detail = "extremal family member: equality required"
+    else:
+        passed = sign * value >= bound - FLOAT_TOL
+        expected = f"{'>=' if sign > 0 else '<='} {target!r}"
+        detail = ""
+    if not passed:
+        detail = f"bound {target!r} violated by {value!r}"
+    return _verdict(theorem_id, f.label, expected, value, passed, detail)
+
+
 def check_radius_bound(t: Tree, facts: TreeFacts | None = None) -> Verdict:
     """Largest eigenvalue is >= min_radius_bound(n), with equality required
     when the tree is isomorphic to the extremal family member."""
     f = _facts(t, facts)
-    n = t.n
-    if n < 4:
+    if t.n < 4:
         raise ValueError("check_radius_bound requires n >= 4")
-    bound = min_radius_bound(n)
-    rho = f.eigenvalues[0]
-    extremal = canonical_key(t) == _extremal_key(n)
-    if extremal:
-        passed = abs(rho - bound) <= FLOAT_TOL
-        expected = bound
-        detail = "extremal family member: equality required"
-    else:
-        passed = rho >= bound - FLOAT_TOL
-        expected = f">= {bound!r}"
-        detail = ""
-    if not passed:
-        detail = f"bound {bound!r} violated by {rho!r}"
-    return _verdict("radius-lower-bound", f.label, expected, rho, passed, detail)
+    return _bound_verdict(f, "radius-lower-bound", 1)
 
 
 def check_least_eigenvalue_bound(t: Tree, facts: TreeFacts | None = None) -> Verdict:
     """Least eigenvalue is <= -min_radius_bound(n) for odd diameter, with
     equality on the extremal family; even diameter is outside the hypothesis."""
     f = _facts(t, facts)
-    n = t.n
-    if n < 4:
+    if t.n < 4:
         raise ValueError("check_least_eigenvalue_bound requires n >= 4")
     if f.meta.diameter % 2 == 0:
         raise ValueError("check_least_eigenvalue_bound requires odd diameter")
-    bound = min_radius_bound(n)
-    xi = f.eigenvalues[-1]
-    extremal = canonical_key(t) == _extremal_key(n)
-    if extremal:
-        passed = abs(xi + bound) <= FLOAT_TOL
-        expected = -bound
-        detail = "extremal family member: equality required"
-    else:
-        passed = xi <= -bound + FLOAT_TOL
-        expected = f"<= {-bound!r}"
-        detail = ""
-    if not passed:
-        detail = f"bound {-bound!r} violated by {xi!r}"
-    return _verdict("least-eigenvalue-bound", f.label, expected, xi, passed, detail)
+    return _bound_verdict(f, "least-eigenvalue-bound", -1)
 
 
 def check_pair_block_inertia(d: int, n: int) -> Verdict:
@@ -319,9 +313,9 @@ def check_pair_block_inertia(d: int, n: int) -> Verdict:
     instance = f"pair-block:d={d},n={n}"
     total = inertia_exact(char_poly(m))
     pivot = list(range(n))
-    additive = haynsworth_check(m, pivot)
     top = inertia_of_matrix(m.submatrix(pivot))
     comp = inertia_of_matrix(schur_complement(m, pivot))
+    additive = total == tuple(x + y for x, y in zip(top, comp))
     expected = {
         "inertia": Inertia(n, n, 0),
         "pivot_inertia": Inertia(1, n - 1, 0),
@@ -374,7 +368,6 @@ def check_core_minor_sums(d: int, l: int) -> Verdict:
             if not bad:
                 bad = f"deletion pair ({i},{j}): minor {minor} != {form}"
 
-    reported = principal_minor_sum(m, size - 2)
     expected = {
         "minor_sum": l * mid_center_form + (l * (l - 1) // 2) * mid_pair_form,
         "nonzero": True,
@@ -382,14 +375,13 @@ def check_core_minor_sums(d: int, l: int) -> Verdict:
         "closed_forms": True,
     }
     computed = {
-        "minor_sum": reported,
-        "nonzero": reported != 0,
+        "minor_sum": total,
+        "nonzero": total != 0,
         "single_sign": len(signs) == 1,
         "closed_forms": minors_ok,
     }
-    passed = expected == computed and total == reported
     return _verdict(
-        "core-minor-sums", instance, expected, computed, passed, detail=bad
+        "core-minor-sums", instance, expected, computed, expected == computed, detail=bad
     )
 
 
@@ -481,8 +473,7 @@ def check_diametrical(g: Graph, label: str | None = None) -> Verdict:
         raise ValueError("graph is not diametrical")
     instance = label if label is not None else f"diametrical:n={g.n}"
     diam = max(max(row) for row in dist.rows)
-    ecc = tuple(max(row) for row in dist.rows)
-    m = eccentricity_matrix(dist, ecc)
+    m = eccentricity_matrix(dist)
     structure_ok = all(pairing[pairing[v]] == v for v in pairing)
     for u in range(g.n):
         for v in range(g.n):

@@ -29,7 +29,7 @@ from .families import (
     parse_family,
     pruefer_random,
 )
-from .graphs import Graph, Tree, distance_matrix, read_edge_list, read_graph6, to_edge_list
+from .graphs import MAX_ORDER, Graph, Tree, distance_matrix, read_graph, to_edge_list
 from .matrices import eccentricity_matrix
 from .spectra import (
     DEFAULT_EIGEN_TOL,
@@ -83,15 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
 
-    p_spec = sub.add_parser("spectrum", help="full exact + float report for one graph")
-    add_source(p_spec)
-    add_output(p_spec, tols=True)
-    p_spec.add_argument("--dump-matrix", action="store_true", help="also print the eccentricity matrix")
-
-    p_in = sub.add_parser("inertia", help="exact inertia and rank for one graph")
-    add_source(p_in)
-    add_output(p_in, tols=False)
-    p_in.add_argument("--dump-matrix", action="store_true", help="also print the eccentricity matrix")
+    for name, tols, help_text in (
+        ("spectrum", True, "full exact + float report for one graph"),
+        ("inertia", False, "exact inertia and rank for one graph"),
+    ):
+        p_report = sub.add_parser(name, help=help_text)
+        add_source(p_report)
+        add_output(p_report, tols=tols)
+        p_report.add_argument("--dump-matrix", action="store_true", help="also print the eccentricity matrix")
 
     p_ver = sub.add_parser("verify", help="run every applicable predicate; exit 1 on any failure")
     add_source(p_ver)
@@ -115,16 +114,7 @@ def _load_graph(args) -> tuple[Graph, str]:
     if args.family:
         return parse_family(args.family), args.family
     with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise ValueError(f"{args.input}: empty input")
-    head = lines[0].split()
-    if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
-        g = read_edge_list(text)
-    else:
-        g = read_graph6(lines[0])
-    return g, f"input:{args.input}"
+        return read_graph(fh.read()), f"input:{args.input}"
 
 
 def _as_tree(g: Graph) -> Tree | None:
@@ -156,61 +146,43 @@ def _config(args, keys) -> dict:
     return {key: getattr(args, key.replace("-", "_")) for key in keys}
 
 
-def cmd_spectrum(args) -> int:
+def cmd_report(args) -> int:
+    """spectrum: the full exact + float report; inertia: inertia and rank."""
     g, label = _load_graph(args)
-    if args.tol <= 0 or (args.group_tol is not None and args.group_tol <= 0):
+    full = args.command == "spectrum"
+    if full and (args.tol <= 0 or (args.group_tol is not None and args.group_tol <= 0)):
         raise ValueError("tolerances must be positive")
-    dist = distance_matrix(g)
-    ecc = tuple(max(row) for row in dist.rows)
-    matrix = eccentricity_matrix(dist, ecc)
+    matrix = eccentricity_matrix(distance_matrix(g))
     poly = char_poly(matrix)
     inertia = inertia_exact(poly)
-    values = eigenvalues_sym(matrix, args.tol)
-    gtol = args.group_tol if args.group_tol is not None else default_group_tol(matrix)
-    spectrum = group_spectrum(values, gtol)
+    tols = ("tol", "group-tol") if full else ()
     report = {
         "version": __version__,
-        "config": _config(args, ("command", "family", "input", "tol", "group-tol", "format")),
+        "config": _config(args, ("command", "family", "input", *tols, "format")),
         "instance": label,
         "n": g.n,
-        "diameter": max(ecc),
-        "char_poly": poly.to_json(),
-        "inertia": list(inertia),
-        "rank": g.n - inertia.n_zero,
-        "spectrum": {
-            "values": list(spectrum.values),
-            "multiplicities": list(spectrum.multiplicities),
-        },
-        "spectral_radius": values[0],
-        "least_eigenvalue": values[-1],
-        "distinct_count": distinct_count_exact(poly),
-        "symmetric": spectrum_symmetric_exact(poly),
+        # the diametral pairs keep their entries, so the largest is the diameter
+        "diameter": matrix.max_abs(),
     }
-    if args.dump_matrix:
-        report["matrix"] = [list(row) for row in matrix.rows]
-    if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
+    if full:
+        values = eigenvalues_sym(matrix, args.tol)
+        gtol = args.group_tol if args.group_tol is not None else default_group_tol(matrix)
+        spectrum = group_spectrum(values, gtol)
+        report.update({
+            "char_poly": poly.to_json(),
+            "inertia": list(inertia),
+            "rank": g.n - inertia.n_zero,
+            "spectrum": {
+                "values": list(spectrum.values),
+                "multiplicities": list(spectrum.multiplicities),
+            },
+            "spectral_radius": values[0],
+            "least_eigenvalue": values[-1],
+            "distinct_count": distinct_count_exact(poly),
+            "symmetric": spectrum_symmetric_exact(poly),
+        })
     else:
-        text = _kv_csv(report.items())
-    _emit(text, args.output)
-    return 0
-
-
-def cmd_inertia(args) -> int:
-    g, label = _load_graph(args)
-    dist = distance_matrix(g)
-    ecc = tuple(max(row) for row in dist.rows)
-    matrix = eccentricity_matrix(dist, ecc)
-    inertia = inertia_exact(char_poly(matrix))
-    report = {
-        "version": __version__,
-        "config": _config(args, ("command", "family", "input", "format")),
-        "instance": label,
-        "n": g.n,
-        "diameter": max(ecc),
-        "inertia": list(inertia),
-        "rank": rank_exact(matrix),
-    }
+        report.update({"inertia": list(inertia), "rank": rank_exact(matrix)})
     if args.dump_matrix:
         report["matrix"] = [list(row) for row in matrix.rows]
     if args.format == "json":
@@ -241,6 +213,8 @@ def _validate_range(args) -> None:
         raise ValueError("--n-from and --n-to must be given together")
     if args.n_from is not None and args.n_from < 2:
         raise ValueError("--n-from must be at least 2")
+    if args.n_to is not None and args.n_to > MAX_ORDER:
+        raise ValueError(f"--n-to must be at most {MAX_ORDER}")
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be at least 1")
 
@@ -278,7 +252,9 @@ class _VerdictSink:
             )
             self.lines.append(buf.getvalue().rstrip("\n"))
 
-    def add(self, verdict, serialization: str | None = None) -> bool:
+    def add(self, verdict, graph: Graph | None = None) -> bool:
+        """Record one verdict; the first failure keeps the failing graph's
+        edge list (or the instance label when there is no graph)."""
         if self.fmt == "json":
             self.lines.append(verdict.to_json())
         else:
@@ -296,7 +272,7 @@ class _VerdictSink:
             self.lines.append(buf.getvalue().rstrip("\n"))
         if not verdict.passed and self.failed is None:
             self.failed = verdict
-            self.failed_serialization = serialization or verdict.instance
+            self.failed_serialization = to_edge_list(graph) if graph is not None else verdict.instance
         return verdict.passed
 
     def text(self) -> str:
@@ -328,10 +304,10 @@ def cmd_verify(args) -> int:
         if t is not None:
             facts = TreeFacts(t, label, corrupt=args.corrupt)
             for verdict in tree_checks(facts):
-                if not sink.add(verdict, to_edge_list(t)):
+                if not sink.add(verdict, t):
                     break
         else:
-            sink.add(check_diametrical(g, label), to_edge_list(g))
+            sink.add(check_diametrical(g, label), g)
     else:
         for verdict in _fixed_battery():
             if not sink.add(verdict):
@@ -344,7 +320,7 @@ def cmd_verify(args) -> int:
             for label, t in _range_instances(args):
                 facts = TreeFacts(t, label, corrupt=args.corrupt)
                 for verdict in tree_checks(facts):
-                    if not sink.add(verdict, to_edge_list(t)):
+                    if not sink.add(verdict, t):
                         break
                 if sink.failed is not None:
                     break
@@ -406,10 +382,8 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.command == "spectrum":
-            return cmd_spectrum(args)
-        if args.command == "inertia":
-            return cmd_inertia(args)
+        if args.command in ("spectrum", "inertia"):
+            return cmd_report(args)
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_sweep(args)

@@ -1,9 +1,9 @@
 """Exact algebra: characteristic polynomials, inertia, ranks, symmetry tests.
 
 Characteristic polynomials are computed by a division-free Berkowitz-style
-recurrence over Python big integers. A Faddeev-LeVerrier implementation with
-exact integer division is kept alongside as an independent second route; the
-two must agree and the tests enforce that.
+recurrence, over Python big integers for integer matrices and over Fractions
+for rational ones. The tests hold a Faddeev-LeVerrier implementation as an
+independent second route; the two must agree.
 
 Inertia comes from Descartes' rule of signs, which counts positive roots
 exactly for polynomials whose roots are all real. That precondition holds for
@@ -14,17 +14,15 @@ sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as _int_gcd
-from math import lcm as _int_lcm
 from typing import NamedTuple, Optional
 
-from .matrices import IntSymMatrix, RatSymMatrix, schur_complement
+from .matrices import SymMatrix, _bareiss
 
 
 @dataclass(frozen=True)
 class CharPoly:
-    """Monic polynomial with big-integer coefficients, highest degree first."""
+    """Monic polynomial with exact coefficients, highest degree first."""
 
     coeffs: tuple
 
@@ -55,10 +53,10 @@ class Inertia(NamedTuple):
     n_zero: int
 
 
-def char_poly(m: IntSymMatrix) -> CharPoly:
-    """Exact characteristic polynomial, division-free (Berkowitz)."""
-    a = m.rows
-    n = m.n
+def _berkowitz(a) -> tuple:
+    """Characteristic polynomial coefficients of the square row list a,
+    highest degree first, by the division-free Berkowitz recurrence."""
+    n = len(a)
     poly = [1]
     for r in range(1, n + 1):
         rm1 = r - 1
@@ -77,32 +75,12 @@ def char_poly(m: IntSymMatrix) -> CharPoly:
                 for i in range(min(len(q), r + 1 - j)):
                     new[i + j] += q[i] * pj
         poly = new
-    return CharPoly(tuple(poly))
+    return tuple(poly)
 
 
-def char_poly_leverrier(m: IntSymMatrix) -> CharPoly:
-    """Characteristic polynomial by Faddeev-LeVerrier with exact division.
-
-    Second, independent route kept for cross-checking char_poly.
-    """
-    n = m.n
-    a = m.rows
-    coeffs = [1]
-    work = [list(row) for row in a]
-    for k in range(1, n + 1):
-        if k > 1:
-            prev_c = coeffs[-1]
-            for i in range(n):
-                work[i][i] += prev_c
-            work = [
-                [sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        tr = sum(work[i][i] for i in range(n))
-        if tr % k != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible, input not integral")
-        coeffs.append(-(tr // k))
-    return CharPoly(tuple(coeffs))
+def char_poly(m: SymMatrix) -> CharPoly:
+    """Exact characteristic polynomial of an integer matrix (Berkowitz)."""
+    return CharPoly(_berkowitz(m.rows))
 
 
 def inertia_exact(p: CharPoly) -> Inertia:
@@ -114,42 +92,9 @@ def inertia_exact(p: CharPoly) -> Inertia:
     return Inertia(n_plus, n_minus, n_zero)
 
 
-def rank_exact(m) -> int:
+def rank_exact(m: SymMatrix) -> int:
     """Rank over the rationals via fraction-free elimination."""
-    if isinstance(m, RatSymMatrix):
-        rows = []
-        for row in m.rows:
-            mult = _int_lcm(*(f.denominator for f in row)) if row else 1
-            rows.append([int(f * mult) for f in row])
-    else:
-        rows = [list(r) for r in m.rows]
-    n = m.n
-    a = rows
-    rank = 0
-    prev = 1
-    for col in range(n):
-        piv = -1
-        for i in range(rank, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            a[piv], a[rank] = a[rank], a[piv]
-        pv = a[rank][col]
-        ar = a[rank]
-        for i in range(rank + 1, n):
-            ai = a[i]
-            aic = ai[col]
-            for j in range(col + 1, n):
-                ai[j] = (ai[j] * pv - aic * ar[j]) // prev
-            ai[col] = 0
-        prev = pv
-        rank += 1
-        if rank == n:
-            break
-    return rank
+    return _bareiss([list(r) for r in m.rows])[0]
 
 
 def _poly_derivative(coeffs):
@@ -228,37 +173,11 @@ def consecutive_nonzero_witness(p: CharPoly) -> Optional[int]:
     return None
 
 
-def _int_congruent(m: RatSymMatrix) -> IntSymMatrix:
-    """Integer matrix congruent to m: scale row/column i by a positive
-    denominator-clearing multiplier. Congruence preserves inertia."""
-    mults = []
-    for row in m.rows:
-        mult = _int_lcm(*(f.denominator for f in row)) if row else 1
-        mults.append(mult)
-    rows = [
-        [int(v * mults[i] * mults[j]) for j, v in enumerate(row)]
-        for i, row in enumerate(m.rows)
-    ]
-    return IntSymMatrix(rows)
+def inertia_of_matrix(m: SymMatrix) -> Inertia:
+    """Exact inertia of a symmetric matrix with int or Fraction entries.
 
-
-def inertia_of_matrix(m) -> Inertia:
-    """Exact inertia of an integer or rational symmetric matrix."""
-    if isinstance(m, RatSymMatrix):
-        m = _int_congruent(m)
-    return inertia_exact(char_poly(m))
-
-
-def haynsworth_check(m, pivot_set) -> bool:
-    """Verify inertia additivity: In(m) = In(pivot block) + In(Schur complement)."""
-    if isinstance(m, IntSymMatrix):
-        m = RatSymMatrix.from_int(m)
-    pivot = sorted(set(pivot_set))
-    block = m.submatrix(pivot)
-    comp = schur_complement(m, pivot)
-    whole = inertia_of_matrix(m)
-    part = inertia_of_matrix(block)
-    rest = inertia_of_matrix(comp)
-    return whole == Inertia(part.n_plus + rest.n_plus,
-                            part.n_minus + rest.n_minus,
-                            part.n_zero + rest.n_zero)
+    Berkowitz is division-free, so Fraction entries need no clearing. The
+    recurrence is called directly: char_poly keeps to integer matrices,
+    whose coefficients are integers (their bit lengths get reported).
+    """
+    return inertia_exact(CharPoly(_berkowitz(m.rows)))

@@ -6,7 +6,7 @@ import heapq
 import itertools
 import random
 
-from .graphs import Graph, Tree
+from .graphs import MAX_ORDER, Graph, Tree
 
 ENUMERATION_LIMIT = 9
 
@@ -189,14 +189,17 @@ def diametrical_examples():
     return [cycle(4), cycle(6), hypercube(3), cocktail_party(3)]
 
 
-_FAMILY_ARITY = {
-    "path": 1,
-    "star": 1,
-    "tndab": 4,
-    "spider": 2,
-    "cycle": 1,
-    "hypercube": 1,
-    "cocktail": 1,
+# Family token name -> (constructor, order of the graph its arguments build).
+# The order is worked out from the arguments so that an oversized token is
+# rejected before anything is built.
+_FAMILIES = {
+    "path": (path, lambda n: n),
+    "star": (star, lambda n: n),
+    "tndab": (center_pendant_tree, lambda n, d, a, b: n),
+    "spider": (spider, lambda legs, length: legs * length + 1),
+    "cycle": (cycle, lambda n: n),
+    "hypercube": (hypercube, lambda dim: 1 << max(0, min(dim, 64))),  # no 2**huge
+    "cocktail": (cocktail_party, lambda k: 2 * k),
 }
 
 
@@ -204,8 +207,8 @@ def parse_family(token: str) -> Graph:
     """Build a graph from a "name:arg,arg,..." family token."""
     name, sep, raw = token.partition(":")
     name = name.strip().lower()
-    if name not in _FAMILY_ARITY:
-        known = ", ".join(sorted(_FAMILY_ARITY))
+    if name not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {name!r} (known: {known})")
     if not sep:
         raise ValueError(f"family {name!r} needs arguments, e.g. {name}:5")
@@ -213,20 +216,10 @@ def parse_family(token: str) -> Graph:
         args = [int(part) for part in raw.split(",")]
     except ValueError:
         raise ValueError(f"family arguments must be integers, got {raw!r}") from None
-    if len(args) != _FAMILY_ARITY[name]:
-        raise ValueError(
-            f"family {name!r} takes {_FAMILY_ARITY[name]} argument(s), got {len(args)}"
-        )
-    if name == "path":
-        return path(*args)
-    if name == "star":
-        return star(*args)
-    if name == "tndab":
-        return center_pendant_tree(*args)
-    if name == "spider":
-        return spider(*args)
-    if name == "cycle":
-        return cycle(*args)
-    if name == "hypercube":
-        return hypercube(*args)
-    return cocktail_party(*args)
+    build, order = _FAMILIES[name]
+    arity = order.__code__.co_argcount
+    if len(args) != arity:
+        raise ValueError(f"family {name!r} takes {arity} argument(s), got {len(args)}")
+    if order(*args) > MAX_ORDER:
+        raise ValueError(f"family {token!r} has more than {MAX_ORDER} vertices")
+    return build(*args)

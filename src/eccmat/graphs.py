@@ -9,7 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import IntSymMatrix
+from .matrices import SymMatrix
+
+# Largest graph order accepted from input. Family tokens, edge-list headers
+# and tree ranges above it are rejected before anything is built (graph6
+# stops at 62): a distance matrix on 1024 vertices already holds a million
+# entries, and the exact routes cost n^4.
+MAX_ORDER = 1024
 
 
 class Graph:
@@ -95,9 +101,9 @@ def bfs_distances(g: Graph, source: int):
     return dist
 
 
-def distance_matrix(g: Graph) -> IntSymMatrix:
+def distance_matrix(g: Graph) -> SymMatrix:
     """All-pairs distances; symmetric with zero diagonal."""
-    return IntSymMatrix([bfs_distances(g, s) for s in range(g.n)])
+    return SymMatrix([bfs_distances(g, s) for s in range(g.n)])
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class TreeMeta:
     distinguished_count: int | None
 
 
-def tree_meta(t: Tree, dist: IntSymMatrix | None = None) -> TreeMeta:
+def tree_meta(t: Tree, dist: SymMatrix | None = None) -> TreeMeta:
     """Compute eccentricities, centers, and the distinguished-vertex set."""
     if dist is None:
         dist = distance_matrix(t)
@@ -158,19 +164,9 @@ class VertexPartition:
     kind: str
 
 
-def partition_vertices(
-    t: Tree,
-    meta: TreeMeta,
-    kind: str | None = None,
-    dist: IntSymMatrix | None = None,
-) -> VertexPartition:
+def partition_vertices(t: Tree, meta: TreeMeta, dist: SymMatrix | None = None) -> VertexPartition:
     """Split V(T) into the diameter-parity partition used by the inertia checks."""
-    parity = "odd" if meta.diameter % 2 == 1 else "even"
-    if kind is None:
-        kind = parity
-    elif kind != parity:
-        raise ValueError(f"requested {kind} partition but diameter {meta.diameter} is {parity}")
-
+    kind = "odd" if meta.diameter % 2 == 1 else "even"
     if dist is None:
         dist = distance_matrix(t)
     if kind == "odd":
@@ -217,7 +213,7 @@ def partition_vertices(
     return VertexPartition(parts, kind)
 
 
-def diametrical_pairing(g: Graph, dist: IntSymMatrix | None = None):
+def diametrical_pairing(g: Graph, dist: SymMatrix | None = None):
     """The involution pairing each vertex with its unique diametral partner,
     or None when some vertex has zero or several partners."""
     if dist is None:
@@ -232,10 +228,27 @@ def diametrical_pairing(g: Graph, dist: IntSymMatrix | None = None):
     return pairing
 
 
+def _data_lines(text: str):
+    """The stripped lines of text, without blank and "#" comment lines."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
+
+
+def read_graph(text: str) -> Graph:
+    """Parse an edge list, or a graph6 line when the first data line is not
+    an "n m" header."""
+    lines = _data_lines(text)
+    if not lines:
+        raise ValueError("empty input")
+    head = lines[0].split()
+    if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
+        return read_edge_list(text)
+    return read_graph6(lines[0])
+
+
 def read_edge_list(text: str) -> Graph:
     """Parse the "n m" header plus m "u v" lines into a Graph."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = _data_lines(text)
     if not lines:
         raise ValueError("empty edge list")
     head = lines[0].split()
@@ -245,6 +258,8 @@ def read_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError("first line must be 'n m'") from None
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -296,8 +311,3 @@ def read_graph6(line: str) -> Graph:
                 edges.append((i, j))
             pos += 1
     return Graph(n, edges)
-
-
-def read_graph6_file(text: str):
-    """List of graphs, one per nonempty graph6 line."""
-    return [read_graph6(ln) for ln in text.splitlines() if ln.strip()]

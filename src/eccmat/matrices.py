@@ -1,25 +1,34 @@
 """Dense symmetric matrices with exact entries, plus the structured builders.
 
-Two matrix types live here: integer-entry and rational-entry symmetric
-matrices. Both are immutable (entries stored as tuples) and validated for
-symmetry at construction. Everything downstream (characteristic polynomials,
-Schur complements, minor sums) assumes exact arithmetic, so there is no
-floating-point fallback anywhere in this module.
+One matrix type lives here: an immutable symmetric matrix whose entries are
+Python ints, or Fractions where an entry is not integral. One fraction-free
+elimination kernel serves the determinant, the rank and the Schur
+complement. Everything downstream (characteristic polynomials, inertia,
+ranks) assumes exact arithmetic, so there is no floating-point fallback
+anywhere in this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from operator import floordiv, truediv
 
 
-class IntSymMatrix:
-    """Symmetric matrix with arbitrary-precision integer entries."""
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
+
+
+class SymMatrix:
+    """Symmetric matrix with exact entries: ints, or Fractions where needed."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(_exact(x) for x in row) for row in rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -32,85 +41,38 @@ class IntSymMatrix:
         self.n = n
         self.rows = rows
 
-    def submatrix(self, indices) -> "IntSymMatrix":
+    def submatrix(self, indices) -> "SymMatrix":
         """Principal submatrix on the given index subset (kept in order)."""
         idx = tuple(indices)
-        return IntSymMatrix(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
+        return SymMatrix(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
 
-    def max_abs(self) -> int:
+    def max_abs(self):
         return max((abs(x) for row in self.rows for x in row), default=0)
 
     def to_text(self) -> str:
-        """Plain-text dump: first line the order, then one line per row."""
+        """Plain-text dump: first line the order, then one line per row;
+        entries are rendered as p or p/q."""
         lines = [str(self.n)]
         lines.extend(" ".join(str(x) for x in row) for row in self.rows)
         return "\n".join(lines)
 
     def __eq__(self, other):
-        return isinstance(other, IntSymMatrix) and self.rows == other.rows
+        return self.rows == getattr(other, "rows", None)
 
     def __hash__(self):
         return hash(self.rows)
 
     def __repr__(self):
-        return f"IntSymMatrix(n={self.n})"
+        return f"SymMatrix(n={self.n})"
 
 
-class RatSymMatrix:
-    """Symmetric matrix with exact rational entries."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        for i in range(n):
-            ri = rows[i]
-            for j in range(i):
-                if ri[j] != rows[j][i]:
-                    raise ValueError(f"matrix not symmetric at ({i},{j})")
-        self.n = n
-        self.rows = rows
-
-    @classmethod
-    def from_int(cls, m: IntSymMatrix) -> "RatSymMatrix":
-        return cls(m.rows)
-
-    def submatrix(self, indices) -> "RatSymMatrix":
-        idx = tuple(indices)
-        return RatSymMatrix(tuple(tuple(self.rows[i][j] for j in idx) for i in idx))
-
-    def to_text(self) -> str:
-        """Plain-text dump; entries rendered as p or p/q."""
-        lines = [str(self.n)]
-        lines.extend(" ".join(str(x) for x in row) for row in self.rows)
-        return "\n".join(lines)
-
-    def __eq__(self, other):
-        return isinstance(other, RatSymMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"RatSymMatrix(n={self.n})"
-
-
-def eccentricity_matrix(dist: IntSymMatrix, ecc) -> IntSymMatrix:
+def eccentricity_matrix(dist: SymMatrix) -> SymMatrix:
     """Keep distance entries attaining min(ecc[u], ecc[v]), zero the rest.
 
-    ecc must match the row maxima of dist; anything else is rejected.
+    The eccentricities are the row maxima of the distance matrix.
     """
     n = dist.n
-    ecc = tuple(int(e) for e in ecc)
-    if len(ecc) != n:
-        raise ValueError("eccentricity vector length must match matrix order")
-    for u in range(n):
-        if ecc[u] != max(dist.rows[u]):
-            raise ValueError(f"ecc[{u}] does not equal the row maximum")
+    ecc = [max(row) for row in dist.rows]
     out = []
     for u in range(n):
         du = dist.rows[u]
@@ -121,27 +83,7 @@ def eccentricity_matrix(dist: IntSymMatrix, ecc) -> IntSymMatrix:
             if du[v] == m and u != v:
                 row[v] = du[v]
         out.append(row)
-    return IntSymMatrix(out)
-
-
-def is_irreducible(m: IntSymMatrix) -> bool:
-    """True iff the support graph of the matrix is connected."""
-    n = m.n
-    if n <= 1:
-        return True
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        row = m.rows[u]
-        for v in range(n):
-            if row[v] != 0 and not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+    return SymMatrix(out)
 
 
 def _hollow_ones(scale: int, size: int):
@@ -149,7 +91,7 @@ def _hollow_ones(scale: int, size: int):
     return [[0 if i == j else scale for j in range(size)] for i in range(size)]
 
 
-def deep_mid_block(d: int, n: int) -> IntSymMatrix:
+def deep_mid_block(d: int, n: int) -> SymMatrix:
     """2n x 2n block matrix [[2d(J-I), (2d-1)(J-I)], [(2d-1)(J-I), 0]].
 
     Models the principal submatrix of an even-diameter tree eccentricity
@@ -164,15 +106,15 @@ def deep_mid_block(d: int, n: int) -> IntSymMatrix:
         rows.append(top[i] + cross[i])
     for i in range(n):
         rows.append(cross[i] + [0] * n)
-    return IntSymMatrix(rows)
+    return SymMatrix(rows)
 
 
-def odd_diameter_core(d: int) -> IntSymMatrix:
+def odd_diameter_core(d: int) -> SymMatrix:
     """4x4 principal submatrix of an odd-diameter (2d+1) tree eccentricity
     matrix on one vertex from each partition class."""
     if d < 1:
         raise ValueError("d must be positive")
-    return IntSymMatrix([
+    return SymMatrix([
         [0, 2 * d + 1, 0, 2 * d],
         [2 * d + 1, 0, 2 * d, 0],
         [0, 2 * d, 0, 0],
@@ -180,7 +122,7 @@ def odd_diameter_core(d: int) -> IntSymMatrix:
     ])
 
 
-def even_diameter_core(d: int, l: int) -> IntSymMatrix:
+def even_diameter_core(d: int, l: int) -> SymMatrix:
     """(2l+1) x (2l+1) core on l deepest vertices, the l distinguished
     center-neighbors, and the center of an even-diameter (2d) tree.
 
@@ -200,106 +142,71 @@ def even_diameter_core(d: int, l: int) -> IntSymMatrix:
                 rows[l + j][i] = d + 1
         rows[i][2 * l] = d
         rows[2 * l][i] = d
-    return IntSymMatrix(rows)
+    return SymMatrix(rows)
 
 
-def bareiss_det(rows) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [list(r) for r in rows]
+def _bareiss(a, block=None):
+    """Fraction-free (Bareiss) elimination of the square row list a, in place.
+
+    Columns are taken left to right. Each gets as pivot the first nonzero
+    entry among the rows not yet used, or is skipped when there is none.
+    Every update divides exactly by the previous pivot, so by Sylvester's
+    identity, after k pivots each trailing entry is a (k+1)-square bordered
+    minor and the k-th pivot is the leading k-square minor of the
+    row-swapped matrix. With block=k only the first k columns are
+    eliminated, and their pivots are searched in the first k rows.
+
+    Returns (rank, pivot columns, sign of the row swaps, last pivot).
+    """
     n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        piv = -1
-        for i in range(k, n):
-            if a[i][k]:
-                piv = i
+    stop = n if block is None else block
+    # Floor division is exact on integral values; Fractions need true division.
+    div = floordiv if all(x.denominator == 1 for row in a for x in row) else truediv
+    rank, cols, sign, prev = 0, [], 1, 1
+    for c in range(stop):
+        for piv in range(rank, stop):
+            if a[piv][c]:
                 break
-        if piv < 0:
-            return 0
-        if piv != k:
-            a[piv], a[k] = a[k], a[piv]
+        else:
+            continue
+        if piv != rank:
+            a[piv], a[rank] = a[rank], a[piv]
             sign = -sign
-        pk = a[k][k]
-        ak = a[k]
-        for i in range(k + 1, n):
+        pivot_row = a[rank]
+        pv = pivot_row[c]
+        for i in range(rank + 1, n):
             ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (ai[j] * pk - aik * ak[j]) // prev
-        prev = pk
-    return sign * a[n - 1][n - 1]
+            aic = ai[c]
+            for j in range(c + 1, n):
+                ai[j] = div(ai[j] * pv - aic * pivot_row[j], prev)
+        prev = pv
+        cols.append(c)
+        rank += 1
+    return rank, cols, sign, prev
 
 
-# Beyond this order, direct subset enumeration is replaced by the
-# characteristic-polynomial route (the two must agree; tests compare them).
-_MINOR_ENUM_LIMIT = 24
+def bareiss_det(rows):
+    """Exact determinant of a square matrix by fraction-free elimination."""
+    a = [list(r) for r in rows]
+    rank, _, sign, last = _bareiss(a)
+    return sign * last if rank == len(a) else 0
 
 
-def principal_minor_sum(m: IntSymMatrix, k: int) -> int:
-    """Exact sum of all k x k principal minors."""
-    n = m.n
-    if k < 0 or k > n:
-        raise ValueError("k must lie in 0..n")
-    if k == 0:
-        return 1
-    if n > _MINOR_ENUM_LIMIT:
-        from .exact import char_poly
-
-        c = char_poly(m).coeffs[k]
-        return c if k % 2 == 0 else -c
-    total = 0
-    rows = m.rows
-    for sub in combinations(range(n), k):
-        total += bareiss_det([[rows[i][j] for j in sub] for i in sub])
-    return total
-
-
-def schur_complement(m, pivot_set) -> RatSymMatrix:
+def schur_complement(m: SymMatrix, pivot_set) -> SymMatrix:
     """A22 - A21 A11^{-1} A12 over exact rationals, pivoting on pivot_set.
 
-    Raises ValueError naming the set if the pivot block is singular.
+    Eliminates the pivot block's columns, then divides the trailing block
+    by the last pivot (Sylvester's identity). Raises ValueError naming the
+    set if the pivot block is singular.
     """
     pivot = sorted(set(pivot_set))
     n = m.n
     if any(i < 0 or i >= n for i in pivot):
         raise ValueError("pivot indices out of range")
-    rest = [i for i in range(n) if i not in set(pivot)]
+    order = pivot + sorted(set(range(n)) - set(pivot))
     k = len(pivot)
-    rows = m.rows
-
-    # Solve A11 X = A12 by Gaussian elimination with exact fractions.
-    aug = [
-        [Fraction(rows[pivot[i]][pivot[j]]) for j in range(k)]
-        + [Fraction(rows[pivot[i]][c]) for c in rest]
-        for i in range(k)
-    ]
-    for col in range(k):
-        piv = -1
-        for r in range(col, k):
-            if aug[r][col] != 0:
-                piv = r
-                break
-        if piv < 0:
-            raise ValueError(f"singular pivot block {pivot}")
-        if piv != col:
-            aug[piv], aug[col] = aug[col], aug[piv]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    # X sits in the augmented columns; S = A22 - A21 X.
-    out = []
-    for i in rest:
-        row = []
-        for b, j in enumerate(rest):
-            s = Fraction(rows[i][j])
-            for t in range(k):
-                s -= Fraction(rows[i][pivot[t]]) * aug[t][k + b]
-            row.append(s)
-        out.append(row)
-    return RatSymMatrix(out)
+    a = [[m.rows[i][j] for j in order] for i in order]
+    rank, _, _, last = _bareiss(a, k)
+    if rank < k:
+        raise ValueError(f"singular pivot block {pivot}")
+    return SymMatrix([[Fraction(x, last) for x in row[k:]] for row in a[k:]])

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .exact import Inertia
-from .matrices import IntSymMatrix
+from .matrices import SymMatrix
 
 DEFAULT_EIGEN_TOL = 1e-12
 DEFAULT_SWEEPS = 30
@@ -29,17 +29,12 @@ class JacobiConvergenceError(RuntimeError):
         self.off_norm = off_norm
 
 
-def _as_float_rows(m):
-    if isinstance(m, IntSymMatrix):
-        return [[float(x) for x in row] for row in m.rows]
-    return [[float(x) for x in row] for row in m]
-
-
 def eigenvalues_sym(m, tol: float = DEFAULT_EIGEN_TOL, max_sweeps: int = DEFAULT_SWEEPS):
-    """All eigenvalues of a symmetric matrix, descending, by cyclic Jacobi."""
+    """All eigenvalues of a symmetric matrix (a SymMatrix or a list of rows),
+    descending, by cyclic Jacobi."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = _as_float_rows(m)
+    a = [[float(x) for x in row] for row in getattr(m, "rows", m)]
     n = len(a)
     if n == 1:
         return [a[0][0]]
@@ -138,18 +133,6 @@ def group_spectrum(values, group_tol: float) -> Spectrum:
     return Spectrum(tuple(reps), tuple(mults), group_tol)
 
 
-def spectral_radius(m: IntSymMatrix, tol: float = DEFAULT_EIGEN_TOL) -> float:
-    """Largest eigenvalue; for entrywise nonnegative input this is the
-    spectral radius (Perron-Frobenius)."""
-    if any(x < 0 for row in m.rows for x in row):
-        raise ValueError("spectral_radius expects an entrywise nonnegative matrix")
-    return eigenvalues_sym(m, tol)[0]
-
-
-def least_eigenvalue(m: IntSymMatrix, tol: float = DEFAULT_EIGEN_TOL) -> float:
-    return eigenvalues_sym(m, tol)[-1]
-
-
 def inertia_float(values, zero_tol: float) -> Inertia:
     """Sign counts of a float eigenvalue list with a zero band of width zero_tol."""
     if zero_tol < 0:
@@ -159,9 +142,9 @@ def inertia_float(values, zero_tol: float) -> Inertia:
     return Inertia(n_plus, n_minus, len(values) - n_plus - n_minus)
 
 
-def default_group_tol(m: IntSymMatrix) -> float:
+def default_group_tol(m: SymMatrix) -> float:
     return 1e-8 * max(1.0, float(m.max_abs()))
 
 
-def default_zero_tol(m: IntSymMatrix) -> float:
+def default_zero_tol(m: SymMatrix) -> float:
     return 1e-8 * float(m.max_abs())

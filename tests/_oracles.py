@@ -6,7 +6,15 @@ import itertools
 import random
 from fractions import Fraction
 
-from eccmat import Graph, IntSymMatrix, Tree
+from eccmat import (
+    CharPoly,
+    Graph,
+    SymMatrix,
+    Tree,
+    bareiss_det,
+    inertia_of_matrix,
+    schur_complement,
+)
 
 
 def pruefer_encode(t: Tree):
@@ -124,7 +132,7 @@ def leibniz_det(rows):
     return total
 
 
-def char_poly_by_minors(m: IntSymMatrix):
+def char_poly_by_minors(m: SymMatrix):
     """Coefficients from signed principal-minor sums, via permanent-free
     Leibniz determinants."""
     n = m.n
@@ -137,13 +145,96 @@ def char_poly_by_minors(m: IntSymMatrix):
     return tuple(coeffs)
 
 
-def random_symmetric(n: int, rng: random.Random, lo: int = -6, hi: int = 6) -> IntSymMatrix:
+def char_poly_leverrier(m: SymMatrix) -> CharPoly:
+    """Characteristic polynomial by Faddeev-LeVerrier with exact division:
+    a second route, independent of the Berkowitz recurrence."""
+    n = m.n
+    a = m.rows
+    coeffs = [1]
+    work = [list(row) for row in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            prev_c = coeffs[-1]
+            for i in range(n):
+                work[i][i] += prev_c
+            work = [
+                [sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+        tr = sum(work[i][i] for i in range(n))
+        if tr % k != 0:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible, input not integral")
+        coeffs.append(-(tr // k))
+    return CharPoly(tuple(coeffs))
+
+
+# Subset enumeration grows as C(n, k); beyond this order it is refused.
+MINOR_ENUM_LIMIT = 24
+
+
+def principal_minor_sum(m: SymMatrix, k: int) -> int:
+    """Exact sum of all k x k principal minors, by enumerating the subsets."""
+    n = m.n
+    if k < 0 or k > n:
+        raise ValueError("k must lie in 0..n")
+    if n > MINOR_ENUM_LIMIT:
+        raise ValueError(f"minor enumeration is capped at order {MINOR_ENUM_LIMIT}")
+    rows = m.rows
+    return sum(
+        bareiss_det([[rows[i][j] for j in sub] for i in sub])
+        for sub in itertools.combinations(range(n), k)
+    )
+
+
+def haynsworth_check(m: SymMatrix, pivot_set) -> bool:
+    """Inertia additivity: In(m) = In(pivot block) + In(Schur complement)."""
+    pivot = sorted(set(pivot_set))
+    comp = schur_complement(m, pivot)
+    part = inertia_of_matrix(m.submatrix(pivot))
+    whole = inertia_of_matrix(m)
+    return whole == tuple(x + y for x, y in zip(part, inertia_of_matrix(comp)))
+
+
+def schur_by_solve(rows, pivot):
+    """A22 - A21 A11^{-1} A12 by Gauss-Jordan over Fractions, as lists of
+    rows; None when the pivot block A11 is singular."""
+    rest = [i for i in range(len(rows)) if i not in pivot]
+    k = len(pivot)
+    aug = [[Fraction(rows[p][q]) for q in pivot + rest] for p in pivot]
+    for col in range(k):
+        r = next((r for r in range(col, k) if aug[r][col]), None)
+        if r is None:
+            return None
+        aug[col], aug[r] = aug[r], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(k):
+            if r != col:
+                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+    return [
+        [rows[i][j] - sum(rows[i][p] * aug[t][k + b] for t, p in enumerate(pivot))
+         for b, j in enumerate(rest)]
+        for i in rest
+    ]
+
+
+def is_irreducible(m: SymMatrix) -> bool:
+    """True iff the support graph of the matrix is connected, by the
+    connectivity check Graph runs at construction."""
+    support = [(i, j) for i in range(m.n) for j in range(i + 1, m.n) if m.rows[i][j]]
+    try:
+        Graph(m.n, support)
+    except ValueError:
+        return False
+    return True
+
+
+def random_symmetric(n: int, rng: random.Random, lo: int = -6, hi: int = 6) -> SymMatrix:
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = rng.randint(lo, hi)
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = rng.randint(lo, hi)
-    return IntSymMatrix(rows)
+    return SymMatrix(rows)
 
 
 def rational_inertia_by_congruence(rows):

@@ -14,7 +14,6 @@ from eccmat import (
     FLOAT_TOL,
     TreeFacts,
     char_poly,
-    char_poly_leverrier,
     check_core_minor_sums,
     check_diametrical,
     check_odd_core_eigenvalues,
@@ -28,7 +27,6 @@ from eccmat import (
     min_radius_bound,
     min_radius_tree,
     odd_diameter_core,
-    principal_minor_sum,
     tree_checks,
 )
 from eccmat.cli import main as cli_main
@@ -41,6 +39,8 @@ from eccmat.families import (
     spider,
     star,
 )
+
+from _oracles import char_poly_leverrier, principal_minor_sum
 
 CORE_PREDICATES = (
     "tree-inertia",
@@ -60,12 +60,6 @@ def _report(cap, number: int, ok: bool, desc: str) -> None:
     with cap.disabled():
         sys.stdout.write(line)
         sys.stdout.flush()
-
-
-def _ecc_matrix(g):
-    dist = distance_matrix(g)
-    ecc = tuple(max(row) for row in dist.rows)
-    return eccentricity_matrix(dist, ecc)
 
 
 def _run_battery(instances, check_leverrier_upto: int):
@@ -280,18 +274,18 @@ def _fixed_matrix_pool():
             pool.append((f"even-core:d={d},l={l}", even_diameter_core(d, l)))
     for g, name in zip(diametrical_examples(),
                        ("cycle:4", "cycle:6", "hypercube:3", "cocktail:3")):
-        pool.append((name, _ecc_matrix(g)))
+        pool.append((name, eccentricity_matrix(distance_matrix(g))))
     for n in range(3, 13):
-        pool.append((f"star:{n}", _ecc_matrix(star(n))))
+        pool.append((f"star:{n}", eccentricity_matrix(distance_matrix(star(n)))))
     for n in range(2, 13):
-        pool.append((f"path:{n}", _ecc_matrix(path(n))))
+        pool.append((f"path:{n}", eccentricity_matrix(distance_matrix(path(n)))))
     for n in range(4, 13):
-        pool.append((f"extremal:{n}", _ecc_matrix(min_radius_tree(n))))
-    pool.append(("spider:3,2", _ecc_matrix(spider(3, 2))))
+        pool.append((f"extremal:{n}", eccentricity_matrix(distance_matrix(min_radius_tree(n)))))
+    pool.append(("spider:3,2", eccentricity_matrix(distance_matrix(spider(3, 2)))))
     for n in range(7, 13):
         for i in range(10):
             t = pruefer_random(n, f"crit9:{n}:{i}")
-            pool.append((f"random:n={n},i={i}", _ecc_matrix(t)))
+            pool.append((f"random:n={n},i={i}", eccentricity_matrix(distance_matrix(t))))
     return [(label, m) for label, m in pool if m.n <= 12]
 
 
@@ -309,7 +303,7 @@ def test_criterion_9_char_poly_routes(capsys, sweep_exhaustive, sweep_sampled):
     pool = _fixed_matrix_pool()
     for n in range(2, 7):
         for i, t in enumerate(enumerate_labeled_trees(n)):
-            pool.append((f"pruefer:n={n},i={i}", _ecc_matrix(t)))
+            pool.append((f"pruefer:n={n},i={i}", eccentricity_matrix(distance_matrix(t))))
     for label, m in pool:
         coeffs = char_poly(m).coeffs
         if char_poly_leverrier(m).coeffs != coeffs:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from eccmat import __version__
+import eccmat.cli
+from eccmat import MAX_ORDER, __version__
 from eccmat.cli import main
 
 
@@ -101,6 +103,19 @@ class TestInputFiles:
         assert report["n"] == 4 and report["diameter"] == 3
         assert report["instance"] == f"input:{f}"
 
+    def test_indented_comment_before_header(self, capsys, tmp_path):
+        f = tmp_path / "p4.txt"
+        f.write_text("  # my tree\n4 3\n0 1\n1 2\n2 3\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert code == 0 and err == ""
+        assert json.loads(out)["inertia"] == [2, 2, 0]
+
+    def test_oversized_header_rejected(self, capsys, tmp_path):
+        f = tmp_path / "huge.txt"
+        f.write_text("1000000000 0\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert code == 2 and out == "" and "exceeds the limit" in err
+
     def test_graph6_file(self, capsys, tmp_path):
         f = tmp_path / "p4.g6"
         f.write_text("Ch\n")
@@ -143,6 +158,14 @@ class TestArgumentErrors:
     def test_neither_source(self, capsys):
         code, _, err = run(capsys, "spectrum")
         assert code == 2 and "exactly one" in err
+
+    def test_oversized_family_rejected(self, capsys):
+        code, out, err = run(capsys, "spectrum", "--family", "hypercube:20")
+        assert code == 2 and out == "" and f"more than {MAX_ORDER}" in err
+
+    def test_oversized_range_rejected(self, capsys):
+        code, _, err = run(capsys, "sweep", "--n-from", "2", "--n-to", str(MAX_ORDER + 1))
+        assert code == 2 and "at most" in err
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "spectrum", "--family", "wheel:5")
@@ -230,6 +253,15 @@ class TestVerifyCommand:
         assert "0 1" in err  # edge list echoed for reproduction
         verdicts = [json.loads(ln) for ln in out.splitlines()[1:]]
         assert any(not v["pass"] for v in verdicts)
+
+    def test_edge_list_built_only_on_failure(self, capsys, monkeypatch):
+        built = []
+        real = eccmat.cli.to_edge_list
+        monkeypatch.setattr(eccmat.cli, "to_edge_list", lambda g: built.append(g) or real(g))
+        assert run(capsys, "verify", "--n-from", "2", "--n-to", "5")[0] == 0
+        assert built == []
+        assert run(capsys, "verify", "--family", "path:6", "--corrupt")[0] == 1
+        assert len(built) == 1
 
     def test_corrupt_range_fails(self, capsys):
         code, _, err = run(
@@ -338,6 +370,41 @@ class TestSweepCommand:
         )
         assert code == 0 and out == ""
         assert target.read_text().startswith("n,diameter_parity")
+
+
+# sha256 of stdout, recorded before the exact layer was cut down to one
+# matrix type, one elimination kernel and one report command. The eight
+# reports of one graph are hashed together, in the loop order below.
+GOLDEN_DIGESTS = {
+    "verify --n-from 2 --n-to 6": "09adb32325752ec39c5e99264301dfa8aad925d082fb3d552010b5e2754ad9d0",
+    "verify --n-from 9 --n-to 14 --samples 3 --seed 7": "8bc7cb606938d48e502824183d09bf37b0e791ef1821030762ac994eff2b805b",
+    "sweep --n-from 4 --n-to 7": "a3035ad138684e917a0c9dfda0d3d5bfdfb05380bc6c91bd97c05dc903f00d44",
+    "star:7": "7c64dc252c2d91cb2f9e21ae69a303e2c590fb13bd6e7df5364752169bc68f48",
+    "spider:3,2": "b5167ef7d283695852d3787983124ab8196aa2f456791e4fca71cf553055bb54",
+    "tndab:10,3,0,6": "4b83a03b5a1f6598e484f7ba1d25bc20ca69dc8b2939e3baaace1eb34e8d448d",
+    "cycle:6": "6f0ee59a25b9e2a4092364884815bc7ae54385a85a45f9bff81b2101d35ba799",
+    "hypercube:3": "80924358aba415c0c4ad455f433185676942159f7dacd8c5e5abbe4d6a80d3d8",
+    "cocktail:3": "85186261d37e106d690768a10a5e8c8ddfc22dfaffe36980ca1553f0b47de27c",
+}
+
+
+def test_golden_output_digests(capsys):
+    def stdout(argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv
+        return out.encode()
+
+    got = {}
+    for key in list(GOLDEN_DIGESTS)[:3]:
+        got[key] = hashlib.sha256(stdout(key.split())).hexdigest()
+    for family in list(GOLDEN_DIGESTS)[3:]:
+        h = hashlib.sha256()
+        for command in ("spectrum", "inertia"):
+            for fmt in ("json", "csv"):
+                for dump in ((), ("--dump-matrix",)):
+                    h.update(stdout((command, "--family", family, "--format", fmt, *dump)))
+        got[family] = h.hexdigest()
+    assert got == GOLDEN_DIGESTS
 
 
 @pytest.mark.skipif(shutil.which("eccmat") is None, reason="console script not on PATH")

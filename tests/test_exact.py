@@ -5,15 +5,12 @@ import pytest
 from eccmat import (
     CharPoly,
     Inertia,
-    IntSymMatrix,
-    RatSymMatrix,
+    SymMatrix,
     TreeFacts,
     bareiss_det,
     char_poly,
-    char_poly_leverrier,
     consecutive_nonzero_witness,
     distinct_count_exact,
-    haynsworth_check,
     inertia_exact,
     inertia_of_matrix,
     poly_gcd,
@@ -24,6 +21,8 @@ from eccmat.families import path, pruefer_random, star
 
 from _oracles import (
     char_poly_by_minors,
+    char_poly_leverrier,
+    haynsworth_check,
     leibniz_det,
     random_symmetric,
     rational_inertia_by_congruence,
@@ -61,7 +60,7 @@ class TestCharPolyType:
 
 class TestCharPoly:
     def test_known_two_by_two(self):
-        m = IntSymMatrix([[2, 1], [1, 3]])
+        m = SymMatrix([[2, 1], [1, 3]])
         assert char_poly(m).coeffs == (1, -5, 5)
 
     def test_known_path_matrix(self):
@@ -73,8 +72,8 @@ class TestCharPoly:
         assert facts.poly.coeffs == (1, 0, -28, -88, -96, -32)
 
     def test_zero_and_single(self):
-        assert char_poly(IntSymMatrix([[0]])).coeffs == (1, 0)
-        assert char_poly(IntSymMatrix([[7]])).coeffs == (1, -7)
+        assert char_poly(SymMatrix([[0]])).coeffs == (1, 0)
+        assert char_poly(SymMatrix([[7]])).coeffs == (1, -7)
 
     def test_agrees_with_leverrier(self):
         rng = random.Random(23)
@@ -105,7 +104,7 @@ class TestCharPoly:
     def test_large_entries_stay_exact(self):
         base = random_symmetric(6, random.Random(5))
         rows = [[x * 10**12 for x in row] for row in base.rows]
-        m = IntSymMatrix(rows)
+        m = SymMatrix(rows)
         p = char_poly(m).coeffs
         q = char_poly_leverrier(m).coeffs
         assert p == q
@@ -122,7 +121,7 @@ class TestInertiaExact:
         assert inertia_exact(CharPoly((1, 0, 0, 0))) == Inertia(0, 0, 3)
 
     def test_diagonal_example(self):
-        m = IntSymMatrix([[3, 0, 0], [0, -2, 0], [0, 0, 0]])
+        m = SymMatrix([[3, 0, 0], [0, -2, 0], [0, 0, 0]])
         assert inertia_exact(char_poly(m)) == Inertia(1, 1, 1)
 
     def test_matches_congruence_oracle(self):
@@ -152,10 +151,10 @@ class TestRankExact:
     def test_structured_singular(self):
         # rank-1 outer product pattern
         rows = [[(i + 1) * (j + 1) for j in range(5)] for i in range(5)]
-        assert rank_exact(IntSymMatrix(rows)) == 1
+        assert rank_exact(SymMatrix(rows)) == 1
 
     def test_zero_matrix(self):
-        assert rank_exact(IntSymMatrix([[0, 0], [0, 0]])) == 0
+        assert rank_exact(SymMatrix([[0, 0], [0, 0]])) == 0
 
     def test_rational_input(self):
         from fractions import Fraction
@@ -164,7 +163,7 @@ class TestRankExact:
             (Fraction(1, 2), Fraction(1, 3)),
             (Fraction(1, 3), Fraction(2, 9)),
         )
-        assert rank_exact(RatSymMatrix(rows)) == 1
+        assert rank_exact(SymMatrix(rows)) == 1
 
 
 class TestPolyGcd:
@@ -191,13 +190,13 @@ class TestDistinctCount:
         assert distinct_count_exact(TreeFacts(path(7)).poly) == 5
 
     def test_repeated_block_eigenvalues(self):
-        m = IntSymMatrix(
+        m = SymMatrix(
             [[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]]
         )
         assert distinct_count_exact(char_poly(m)) == 2
 
     def test_zero_matrix(self):
-        assert distinct_count_exact(char_poly(IntSymMatrix([[0, 0], [0, 0]]))) == 1
+        assert distinct_count_exact(char_poly(SymMatrix([[0, 0], [0, 0]]))) == 1
 
     def test_matches_float_clusters_when_separated(self):
         import math
@@ -265,14 +264,14 @@ class TestHaynsworth:
             done += 1
 
     def test_singular_pivot_raises(self):
-        m = IntSymMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 2]])
+        m = SymMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 2]])
         with pytest.raises(ValueError):
             haynsworth_check(m, [0, 1])
 
 
 class TestInertiaOfMatrix:
     def test_integer_route(self):
-        m = IntSymMatrix([[2, 0], [0, -3]])
+        m = SymMatrix([[2, 0], [0, -3]])
         assert inertia_of_matrix(m) == Inertia(1, 1, 0)
 
     def test_rational_route_matches_congruence(self):
@@ -289,6 +288,6 @@ class TestInertiaOfMatrix:
             rows = tuple(
                 tuple((rows[i][j] + rows[j][i]) / 2 for j in range(5)) for i in range(5)
             )
-            m = RatSymMatrix(rows)
+            m = SymMatrix(rows)
             want = rational_inertia_by_congruence([list(r) for r in m.rows])
             assert tuple(inertia_of_matrix(m)) == want

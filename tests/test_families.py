@@ -254,6 +254,15 @@ class TestParseFamily:
         with pytest.raises(ValueError, match="integers"):
             parse_family("path:x")
 
+    def test_order_cap(self):
+        from eccmat import MAX_ORDER
+
+        assert parse_family("hypercube:6").n == 64
+        for token in ("hypercube:20", "hypercube:1000000", f"path:{MAX_ORDER + 1}",
+                      "spider:1000,2", f"cocktail:{MAX_ORDER}"):
+            with pytest.raises(ValueError, match="more than"):
+                parse_family(token)
+
     def test_constructor_errors_pass_through(self):
         with pytest.raises(ValueError, match="odd d"):
             parse_family("tndab:7,4,1,1")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from eccmat import (
+    MAX_ORDER,
     Graph,
     Tree,
     bfs_distances,
@@ -10,8 +11,8 @@ from eccmat import (
     distance_matrix,
     partition_vertices,
     read_edge_list,
+    read_graph,
     read_graph6,
-    read_graph6_file,
     to_edge_list,
     tree_meta,
 )
@@ -178,12 +179,6 @@ class TestPartition:
             assert union == set(range(t.n))
             assert total == t.n
 
-    def test_kind_mismatch_rejected(self):
-        t = path(6)
-        meta = tree_meta(t)
-        with pytest.raises(ValueError):
-            partition_vertices(t, meta, kind="even")
-
     def test_below_minimum_diameter_rejected(self):
         t = star(5)
         meta = tree_meta(t)
@@ -246,6 +241,21 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError):
             read_edge_list("  \n# nothing\n")
 
+    def test_order_cap_from_header(self):
+        # rejected from the header alone, before any adjacency is allocated
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            read_edge_list("1000000000 0\n")
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            read_edge_list(f"{MAX_ORDER + 1} 1\n0 1\n")
+        assert read_edge_list(f"{MAX_ORDER} {MAX_ORDER - 1}\n" + "".join(
+            f"0 {v}\n" for v in range(1, MAX_ORDER))).n == MAX_ORDER
+
+    def test_sniffing_shares_the_comment_rule(self):
+        assert read_graph("  # indented comment\n\t# tab\n2 1\n  0 1\n").edges() == [(0, 1)]
+        assert read_graph("  # indented comment\nCh\n").n == 4
+        with pytest.raises(ValueError, match="empty input"):
+            read_graph("   # only a comment\n")
+
 
 class TestGraph6Format:
     def test_single_vertex(self):
@@ -283,10 +293,6 @@ class TestGraph6Format:
     def test_reject_truncated(self):
         with pytest.raises(ValueError):
             read_graph6("C")
-
-    def test_file_reader_multiple_lines(self):
-        graphs = read_graph6_file("A_\nBg\n\nC~\n")
-        assert [g.n for g in graphs] == [2, 3, 4]
 
 
 def test_distance_matrix_randomized_against_shuffled_labels():

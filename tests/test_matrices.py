@@ -4,71 +4,71 @@ from fractions import Fraction
 import pytest
 
 from eccmat import (
-    IntSymMatrix,
-    RatSymMatrix,
+    SymMatrix,
     bareiss_det,
     deep_mid_block,
     distance_matrix,
     eccentricity_matrix,
     even_diameter_core,
-    is_irreducible,
     odd_diameter_core,
-    principal_minor_sum,
     schur_complement,
-    tree_meta,
 )
 from eccmat.families import cycle, path, pruefer_random, star
 
-from _oracles import ecc_entries_by_definition, leibniz_det, random_symmetric
+from _oracles import (
+    ecc_entries_by_definition,
+    is_irreducible,
+    leibniz_det,
+    principal_minor_sum,
+    random_symmetric,
+    schur_by_solve,
+)
 
 
 class TestIntSymMatrix:
+    """SymMatrix, which holds int entries and Fractions only where needed."""
+
     def test_requires_square_symmetric(self):
         with pytest.raises(ValueError):
-            IntSymMatrix([[0, 1], [2, 0]])
+            SymMatrix([[0, 1], [2, 0]])
         with pytest.raises(ValueError):
-            IntSymMatrix([[0, 1, 0], [1, 0, 0]])
+            SymMatrix([[0, 1, 0], [1, 0, 0]])
 
     def test_submatrix_and_max_abs(self):
-        m = IntSymMatrix([[0, 2, -5], [2, 1, 3], [-5, 3, 0]])
+        m = SymMatrix([[0, 2, -5], [2, 1, 3], [-5, 3, 0]])
         sub = m.submatrix([0, 2])
         assert sub.rows == ((0, -5), (-5, 0))
         assert m.max_abs() == 5
 
     def test_equality_and_hash(self):
-        a = IntSymMatrix([[0, 1], [1, 0]])
-        b = IntSymMatrix([[0, 1], [1, 0]])
+        a = SymMatrix([[0, 1], [1, 0]])
+        b = SymMatrix([[0, 1], [1, 0]])
         assert a == b
         assert hash(a) == hash(b)
 
     def test_rational_from_int(self):
-        m = RatSymMatrix.from_int(IntSymMatrix([[2, 1], [1, 2]]))
+        ints = [[2, 1], [1, 2]]
+        m = SymMatrix([[Fraction(x) for x in row] for row in ints])
         assert m.rows[0][0] == Fraction(2)
+        assert m == SymMatrix(ints)
+        half = SymMatrix([[Fraction(1, 2), 1], [1, 0]])
+        assert half.rows[0][0] == Fraction(1, 2) and half.to_text() == "2\n1/2 1\n1 0"
 
 
 class TestEccentricityMatrix:
     @pytest.mark.parametrize("g", [path(5), path(6), star(6), cycle(7)])
     def test_matches_definition(self, g):
-        dist = distance_matrix(g)
-        ecc = tuple(max(row) for row in dist.rows)
-        m = eccentricity_matrix(dist, ecc)
+        m = eccentricity_matrix(distance_matrix(g))
         assert [list(r) for r in m.rows] == ecc_entries_by_definition(g)
 
     def test_random_trees_match_definition(self):
         for i in range(30):
             t = pruefer_random(9, f"eccdef:{i}")
-            dist = distance_matrix(t)
-            m = eccentricity_matrix(dist, tuple(max(r) for r in dist.rows))
+            m = eccentricity_matrix(distance_matrix(t))
             assert [list(r) for r in m.rows] == ecc_entries_by_definition(t)
 
-    def test_rejects_wrong_eccentricities(self):
-        dist = distance_matrix(path(4))
-        with pytest.raises(ValueError):
-            eccentricity_matrix(dist, (1, 1, 1, 1))
-
     def test_zero_diagonal(self):
-        dist = distance_matrix(star(8))
-        m = eccentricity_matrix(dist, tuple(max(r) for r in dist.rows))
+        m = eccentricity_matrix(distance_matrix(star(8)))
         assert all(m.rows[i][i] == 0 for i in range(8))
 
 
@@ -76,17 +76,15 @@ class TestIrreducibility:
     def test_tree_matrices_are_irreducible(self):
         for i in range(20):
             t = pruefer_random(8, f"irr:{i}")
-            dist = distance_matrix(t)
-            m = eccentricity_matrix(dist, tuple(max(r) for r in dist.rows))
-            assert is_irreducible(m)
+            assert is_irreducible(eccentricity_matrix(distance_matrix(t)))
 
     def test_block_diagonal_is_reducible(self):
-        m = IntSymMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
+        m = SymMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
         assert not is_irreducible(m)
 
     def test_trivial_cases(self):
-        assert is_irreducible(IntSymMatrix([[5]]))
-        assert not is_irreducible(IntSymMatrix([[0, 0], [0, 0]]))
+        assert is_irreducible(SymMatrix([[5]]))
+        assert not is_irreducible(SymMatrix([[0, 0], [0, 0]]))
 
 
 class TestBuilders:
@@ -133,9 +131,7 @@ class TestBuilders:
 
         d, l = 3, 3
         t = spider(l, d)
-        dist = distance_matrix(t)
-        meta = tree_meta(t, dist)
-        m = eccentricity_matrix(dist, meta.ecc)
+        m = eccentricity_matrix(distance_matrix(t))
         deep = [leg * d + d for leg in range(l)]
         mids = [leg * d + 1 for leg in range(l)]
         idx = deep + mids + [0]
@@ -174,6 +170,19 @@ class TestDeterminant:
         assert bareiss_det(sym) == leibniz_det(sym)
 
 
+class TestEliminationKernel:
+    def test_pivot_columns_give_a_nonsingular_principal_block(self):
+        # for a symmetric matrix of rank r, the pivot columns R make A_RR
+        # nonsingular: the block a low-rank route would work from
+        from eccmat.matrices import _bareiss
+
+        for i in range(40):
+            m = eccentricity_matrix(distance_matrix(pruefer_random(9, f"kernel:{i}")))
+            rank, cols, _, _ = _bareiss([list(r) for r in m.rows])
+            assert len(cols) == rank < m.n
+            assert bareiss_det([[m.rows[a][b] for b in cols] for a in cols]) != 0
+
+
 class TestPrincipalMinorSums:
     def test_matches_direct_enumeration(self):
         rng = random.Random(19)
@@ -190,21 +199,15 @@ class TestPrincipalMinorSums:
             )
             assert principal_minor_sum(m, k) == want
 
-    def test_large_order_uses_coefficient_route(self):
-        # above the enumeration cutoff the result must still match the
-        # subset definition, checked here via the trace and determinant
-        n = 26
-        rows = [[0] * n for _ in range(n)]
-        for i in range(n):
-            rows[i][i] = i - 3
-            for j in range(i + 1, n):
-                rows[i][j] = rows[j][i] = (i + 2 * j) % 5 - 2
-        m = IntSymMatrix(rows)
-        assert principal_minor_sum(m, 1) == sum(i - 3 for i in range(n))
-        assert principal_minor_sum(m, n) == bareiss_det([list(r) for r in m.rows])
+    def test_large_order_raises(self):
+        # no fallback above the enumeration cutoff: the coefficient route
+        # would check the characteristic polynomial against itself
+        m = SymMatrix([[0] * 25 for _ in range(25)])
+        with pytest.raises(ValueError, match="capped"):
+            principal_minor_sum(m, 1)
 
     def test_rejects_bad_size(self):
-        m = IntSymMatrix([[0]])
+        m = SymMatrix([[0]])
         with pytest.raises(ValueError):
             principal_minor_sum(m, 2)
         with pytest.raises(ValueError):
@@ -213,17 +216,17 @@ class TestPrincipalMinorSums:
 
 class TestSchurComplement:
     def test_two_by_two_block_example(self):
-        m = IntSymMatrix([[2, 1], [1, 3]])
+        m = SymMatrix([[2, 1], [1, 3]])
         comp = schur_complement(m, [0])
         assert comp.rows == ((Fraction(5, 2),),)
 
     def test_identity_pivot_leaves_rest(self):
-        m = IntSymMatrix([[1, 0, 0], [0, 4, 2], [0, 2, 7]])
+        m = SymMatrix([[1, 0, 0], [0, 4, 2], [0, 2, 7]])
         comp = schur_complement(m, [0])
         assert comp.rows == ((Fraction(4), Fraction(2)), (Fraction(2), Fraction(7)))
 
     def test_singular_pivot_rejected(self):
-        m = IntSymMatrix([[0, 1], [1, 0]])
+        m = SymMatrix([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="singular pivot"):
             schur_complement(m, [0])
 
@@ -259,7 +262,28 @@ class TestSchurComplement:
                         rows[i][j] -= f * rows[k][j]
             assert det_b * det_c == det_m
 
+    def test_matches_gauss_jordan(self):
+        # random pivot sets on zero-rich matrices, singular blocks included
+        rng = random.Random(71)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            m = random_symmetric(n, rng, -2, 2)
+            piv = sorted(rng.sample(range(n), rng.randint(0, n)))
+            want = schur_by_solve([list(r) for r in m.rows], piv)
+            if want is None:
+                singular += 1
+                with pytest.raises(ValueError, match="singular pivot"):
+                    schur_complement(m, piv)
+            else:
+                assert [list(r) for r in schur_complement(m, piv).rows] == want
+        assert singular > 10
+
+    def test_rational_input(self):
+        m = SymMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 2]])
+        assert schur_complement(m, [0]).rows == ((Fraction(2) - Fraction(2, 9),),)
+
     def test_pivot_indices_validated(self):
-        m = IntSymMatrix([[1, 0], [0, 1]])
+        m = SymMatrix([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             schur_complement(m, [0, 5])

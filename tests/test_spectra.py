@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eccmat import (
-    IntSymMatrix,
+    SymMatrix,
     JacobiConvergenceError,
     Spectrum,
     TreeFacts,
@@ -14,8 +14,6 @@ from eccmat import (
     eigenvalues_sym,
     group_spectrum,
     inertia_float,
-    least_eigenvalue,
-    spectral_radius,
 )
 from eccmat.families import path, pruefer_random, star
 
@@ -44,8 +42,8 @@ class TestEigenvaluesSym:
         assert max(abs(a - b) for a, b in zip(vals, (4.0, 1.0, -1.0, -4.0))) < 1e-10
 
     def test_trivial_sizes(self):
-        assert eigenvalues_sym(IntSymMatrix([[5]])) == [5.0]
-        assert eigenvalues_sym(IntSymMatrix([[0, 0], [0, 0]])) == [0.0, 0.0]
+        assert eigenvalues_sym(SymMatrix([[5]])) == [5.0]
+        assert eigenvalues_sym(SymMatrix([[0, 0], [0, 0]])) == [0.0, 0.0]
 
     def test_accepts_plain_rows(self):
         vals = eigenvalues_sym([[0.0, 1.5], [1.5, 0.0]])
@@ -53,7 +51,7 @@ class TestEigenvaluesSym:
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
-            eigenvalues_sym(IntSymMatrix([[1]]), tol=0.0)
+            eigenvalues_sym(SymMatrix([[1]]), tol=0.0)
 
     def test_sweep_budget_exhaustion(self):
         m = TreeFacts(path(4)).matrix
@@ -62,7 +60,7 @@ class TestEigenvaluesSym:
         assert err.value.off_norm > 0
 
     def test_zero_sweeps_fine_for_diagonal(self):
-        m = IntSymMatrix([[3, 0], [0, -1]])
+        m = SymMatrix([[3, 0], [0, -1]])
         assert eigenvalues_sym(m, max_sweeps=0) == [3.0, -1.0]
 
     def test_large_entry_spread(self):
@@ -71,7 +69,7 @@ class TestEigenvaluesSym:
             [3, -(10**9), 7],
             [0, 7, 2],
         ]
-        got = eigenvalues_sym(IntSymMatrix(rows))
+        got = eigenvalues_sym(SymMatrix(rows))
         want = sorted(np.linalg.eigvalsh(np.array(rows, dtype=float)), reverse=True)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-6
 
@@ -124,16 +122,12 @@ class TestSpectrumType:
 class TestExtremesAndInertia:
     def test_star_spectral_radius_closed_form(self):
         for n in (4, 5, 9, 12):
-            rho = spectral_radius(TreeFacts(star(n)).matrix)
+            rho = eigenvalues_sym(TreeFacts(star(n)).matrix)[0]
             want = (n - 2) + math.sqrt(n * n - 3 * n + 3)
             assert abs(rho - want) < 1e-9
 
-    def test_spectral_radius_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            spectral_radius(IntSymMatrix([[0, -1], [-1, 0]]))
-
     def test_least_eigenvalue(self):
-        assert abs(least_eigenvalue(TreeFacts(path(4)).matrix) + 4.0) < 1e-10
+        assert abs(eigenvalues_sym(TreeFacts(path(4)).matrix)[-1] + 4.0) < 1e-10
 
     def test_inertia_float_counts(self):
         inn = inertia_float([3.0, 1e-12, -1e-12, -2.0], 1e-8)
@@ -157,7 +151,7 @@ class TestExtremesAndInertia:
 
 class TestDefaultTols:
     def test_group_tol_floors_at_unit_scale(self):
-        assert default_group_tol(IntSymMatrix([[0]])) == 1e-8
+        assert default_group_tol(SymMatrix([[0]])) == 1e-8
 
     def test_group_tol_scales_with_entries(self):
         m = TreeFacts(path(6)).matrix
