@@ -114,7 +114,11 @@ def _load_graph(args) -> tuple[Graph, str]:
     if args.family:
         return parse_family(args.family), args.family
     with open(args.input, "r", encoding="utf-8") as fh:
-        return read_graph(fh.read()), f"input:{args.input}"
+        text = fh.read()
+    try:
+        return read_graph(text), f"input:{args.input}"
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
 
 
 def _as_tree(g: Graph) -> Tree | None:

@@ -1,9 +1,10 @@
 """Exact algebra: characteristic polynomials, inertia, ranks, symmetry tests.
 
 Characteristic polynomials are computed by a division-free Berkowitz-style
-recurrence, over Python big integers for integer matrices and over Fractions
-for rational ones. The tests hold a Faddeev-LeVerrier implementation as an
-independent second route; the two must agree.
+recurrence over Python big integers. A matrix with Fraction entries gets its
+inertia from a positive integer multiple of itself. The tests hold a
+Faddeev-LeVerrier implementation as an independent second route; the two
+must agree.
 
 Inertia comes from Descartes' rule of signs, which counts positive roots
 exactly for polynomials whose roots are all real. That precondition holds for
@@ -14,7 +15,7 @@ sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm
 from typing import NamedTuple, Optional
 
 from .matrices import SymMatrix, _bareiss
@@ -53,9 +54,9 @@ class Inertia(NamedTuple):
     n_zero: int
 
 
-def _berkowitz(a) -> tuple:
-    """Characteristic polynomial coefficients of the square row list a,
-    highest degree first, by the division-free Berkowitz recurrence."""
+def char_poly(m: SymMatrix) -> CharPoly:
+    """Exact characteristic polynomial of an integer matrix (Berkowitz)."""
+    a = m.rows
     n = len(a)
     poly = [1]
     for r in range(1, n + 1):
@@ -75,12 +76,7 @@ def _berkowitz(a) -> tuple:
                 for i in range(min(len(q), r + 1 - j)):
                     new[i + j] += q[i] * pj
         poly = new
-    return tuple(poly)
-
-
-def char_poly(m: SymMatrix) -> CharPoly:
-    """Exact characteristic polynomial of an integer matrix (Berkowitz)."""
-    return CharPoly(_berkowitz(m.rows))
+    return CharPoly(tuple(poly))
 
 
 def inertia_exact(p: CharPoly) -> Inertia:
@@ -176,8 +172,10 @@ def consecutive_nonzero_witness(p: CharPoly) -> Optional[int]:
 def inertia_of_matrix(m: SymMatrix) -> Inertia:
     """Exact inertia of a symmetric matrix with int or Fraction entries.
 
-    Berkowitz is division-free, so Fraction entries need no clearing. The
-    recurrence is called directly: char_poly keeps to integer matrices,
-    whose coefficients are integers (their bit lengths get reported).
+    A positive multiple has the same inertia, so Fraction entries are first
+    scaled to integers by the lcm of their denominators.
     """
-    return inertia_exact(CharPoly(_berkowitz(m.rows)))
+    scale = lcm(*(x.denominator for row in m.rows for x in row))
+    if scale > 1:
+        m = SymMatrix([[x * scale for x in row] for row in m.rows])
+    return inertia_exact(char_poly(m))

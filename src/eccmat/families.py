@@ -189,17 +189,17 @@ def diametrical_examples():
     return [cycle(4), cycle(6), hypercube(3), cocktail_party(3)]
 
 
-# Family token name -> (constructor, order of the graph its arguments build).
-# The order is worked out from the arguments so that an oversized token is
-# rejected before anything is built.
+# Family token name -> (constructor, number of arguments, order of the graph
+# its arguments build). The order is worked out from the arguments so that an
+# oversized token is rejected before anything is built.
 _FAMILIES = {
-    "path": (path, lambda n: n),
-    "star": (star, lambda n: n),
-    "tndab": (center_pendant_tree, lambda n, d, a, b: n),
-    "spider": (spider, lambda legs, length: legs * length + 1),
-    "cycle": (cycle, lambda n: n),
-    "hypercube": (hypercube, lambda dim: 1 << max(0, min(dim, 64))),  # no 2**huge
-    "cocktail": (cocktail_party, lambda k: 2 * k),
+    "path": (path, 1, lambda n: n),
+    "star": (star, 1, lambda n: n),
+    "tndab": (center_pendant_tree, 4, lambda n, d, a, b: n),
+    "spider": (spider, 2, lambda legs, length: legs * length + 1),
+    "cycle": (cycle, 1, lambda n: n),
+    "hypercube": (hypercube, 1, lambda dim: 1 << max(0, min(dim, 64))),  # no 2**huge
+    "cocktail": (cocktail_party, 1, lambda k: 2 * k),
 }
 
 
@@ -216,8 +216,7 @@ def parse_family(token: str) -> Graph:
         args = [int(part) for part in raw.split(",")]
     except ValueError:
         raise ValueError(f"family arguments must be integers, got {raw!r}") from None
-    build, order = _FAMILIES[name]
-    arity = order.__code__.co_argcount
+    build, arity, order = _FAMILIES[name]
     if len(args) != arity:
         raise ValueError(f"family {name!r} takes {arity} argument(s), got {len(args)}")
     if order(*args) > MAX_ORDER:

@@ -160,8 +160,13 @@ def _bareiss(a, block=None):
     """
     n = len(a)
     stop = n if block is None else block
-    # Floor division is exact on integral values; Fractions need true division.
-    div = floordiv if all(x.denominator == 1 for row in a for x in row) else truediv
+    # Floor division is exact on integral values. With any Fraction entry the
+    # whole array becomes Fractions: true division of two ints gives a float.
+    if all(x.denominator == 1 for row in a for x in row):
+        div = floordiv
+    else:
+        div = truediv
+        a[:] = [[Fraction(x) for x in row] for row in a]
     rank, cols, sign, prev = 0, [], 1, 1
     for c in range(stop):
         for piv in range(rank, stop):

@@ -237,6 +237,16 @@ def random_symmetric(n: int, rng: random.Random, lo: int = -6, hi: int = 6) -> S
     return SymMatrix(rows)
 
 
+def mixed_symmetric(n: int, rng: random.Random, lo: int = -2, hi: int = 2) -> SymMatrix:
+    """Random symmetric matrix whose entries mix ints and Fractions: each
+    entry is an integer divided by 1, 2 or 3."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
+    return SymMatrix(rows)
+
+
 def rational_inertia_by_congruence(rows):
     """Inertia of a symmetric rational matrix by symmetric Gaussian steps."""
     a = [[Fraction(x) for x in row] for row in rows]

@@ -123,6 +123,12 @@ class TestInputFiles:
         assert code == 0
         assert json.loads(out)["diameter"] == 3
 
+    def test_empty_input_names_the_file(self, capsys, tmp_path):
+        f = tmp_path / "empty.txt"
+        f.write_text("  # only a comment\n\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert code == 2 and out == "" and err == f"error: {f}: empty input\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "spectrum", "--input", "/nonexistent/g.txt")
         assert code == 2 and err.startswith("error:")

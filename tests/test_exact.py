@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,7 @@ from _oracles import (
     char_poly_leverrier,
     haynsworth_check,
     leibniz_det,
+    mixed_symmetric,
     random_symmetric,
     rational_inertia_by_congruence,
 )
@@ -152,6 +154,16 @@ class TestRankExact:
         # rank-1 outer product pattern
         rows = [[(i + 1) * (j + 1) for j in range(5)] for i in range(5)]
         assert rank_exact(SymMatrix(rows)) == 1
+
+    def test_mixed_int_and_fraction_entries(self):
+        # int-only update steps stay exact when other entries are Fractions
+        assert rank_exact(SymMatrix([[2, 1, 0], [1, 1, 0], [0, 0, Fraction(1, 2)]])) == 3
+        rng = random.Random(47)
+        for n in range(1, 8):
+            for _ in range(20):
+                m = mixed_symmetric(n, rng)
+                want = n - rational_inertia_by_congruence([list(r) for r in m.rows])[2]
+                assert rank_exact(m) == want
 
     def test_zero_matrix(self):
         assert rank_exact(SymMatrix([[0, 0], [0, 0]])) == 0

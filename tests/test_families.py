@@ -247,8 +247,12 @@ class TestParseFamily:
             parse_family("path")
 
     def test_wrong_arity(self):
-        with pytest.raises(ValueError, match="argument"):
+        with pytest.raises(ValueError, match="takes 2 argument"):
             parse_family("spider:3")
+        with pytest.raises(ValueError, match="takes 4 argument"):
+            parse_family("tndab:10,3,0")
+        with pytest.raises(ValueError, match="takes 1 argument"):
+            parse_family("star:5,1")
 
     def test_non_integer_argument(self):
         with pytest.raises(ValueError, match="integers"):

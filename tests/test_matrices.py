@@ -19,6 +19,7 @@ from _oracles import (
     ecc_entries_by_definition,
     is_irreducible,
     leibniz_det,
+    mixed_symmetric,
     principal_minor_sum,
     random_symmetric,
     schur_by_solve,
@@ -263,12 +264,14 @@ class TestSchurComplement:
             assert det_b * det_c == det_m
 
     def test_matches_gauss_jordan(self):
-        # random pivot sets on zero-rich matrices, singular blocks included
+        # random pivot sets on zero-rich matrices, singular blocks included;
+        # every other matrix mixes int and Fraction entries
         rng = random.Random(71)
         singular = 0
-        for _ in range(300):
+        for trial in range(400):
             n = rng.randint(1, 7)
-            m = random_symmetric(n, rng, -2, 2)
+            build = mixed_symmetric if trial % 2 else random_symmetric
+            m = build(n, rng, -2, 2)
             piv = sorted(rng.sample(range(n), rng.randint(0, n)))
             want = schur_by_solve([list(r) for r in m.rows], piv)
             if want is None:
@@ -282,6 +285,13 @@ class TestSchurComplement:
     def test_rational_input(self):
         m = SymMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 2]])
         assert schur_complement(m, [0]).rows == ((Fraction(2) - Fraction(2, 9),),)
+
+    def test_integer_pivot_with_fraction_elsewhere(self):
+        # the int-only update steps must not fall back to float division
+        m = SymMatrix([[2, 1, 0], [1, 1, 0], [0, 0, Fraction(1, 2)]])
+        s = schur_complement(m, [0])
+        assert s.rows == ((Fraction(1, 2), 0), (0, Fraction(1, 2)))
+        assert all(type(x) in (int, Fraction) for row in s.rows for x in row)
 
     def test_pivot_indices_validated(self):
         m = SymMatrix([[1, 0], [0, 1]])
