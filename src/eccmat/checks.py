@@ -82,6 +82,8 @@ def _verdict(theorem_id, instance, expected, computed, passed, detail=""):
 class TreeFacts:
     """Lazily computed quantities for one tree, shared across checks.
 
+    The matrix keeps its one fraction-free elimination (SymMatrix.pivots):
+    the characteristic polynomial and the rank check both read it.
     corrupt=True bumps one off-diagonal entry pair of the eccentricity
     matrix by 1; it exists solely as a negative-control hook.
     """
@@ -164,6 +166,7 @@ def check_rank(t: Tree, facts: TreeFacts | None = None) -> Verdict:
         expected = 4
     else:
         expected = 2 * f.meta.distinguished_count
+    # the elimination's rank, not n minus the polynomial's zero roots
     computed = rank_exact(f.matrix)
     return _verdict("tree-rank", f.label, expected, computed, expected == computed)
 

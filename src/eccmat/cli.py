@@ -7,6 +7,7 @@ timestamps, fixed field order, rows sorted before emission.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -129,12 +130,16 @@ def _as_tree(g: Graph) -> Tree | None:
     return None
 
 
-def _emit(text: str, output: str | None) -> None:
+def _open_output(output: str | None):
+    """The --output file opened for writing, or stdout (left open)."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _open_output(output) as out:
+        out.write(text)
 
 
 def _kv_csv(pairs) -> str:
@@ -186,6 +191,7 @@ def cmd_report(args) -> int:
             "symmetric": spectrum_symmetric_exact(poly),
         })
     else:
+        # the elimination char_poly ran, kept on the matrix
         report.update({"inertia": list(inertia), "rank": rank_exact(matrix)})
     if args.dump_matrix:
         report["matrix"] = [list(row) for row in matrix.rows]
@@ -240,30 +246,27 @@ def _fixed_battery():
 
 
 class _VerdictSink:
-    """Streams verdict lines, stopping the batch at the first failure."""
+    """Writes each verdict line as it is produced; the batch stops at the
+    first failure."""
 
-    def __init__(self, fmt: str, header: dict):
-        self.fmt = fmt
+    def __init__(self, fmt: str, header: dict, out):
+        self.out = out
+        self.csv = csv.writer(out, lineterminator="\n") if fmt == "csv" else None
         self.failed = None
         self.failed_serialization = None
-        if fmt == "json":
-            self.lines = [json.dumps(header)]
+        if self.csv is None:
+            out.write(json.dumps(header) + "\n")
         else:
-            self.lines = ["# " + json.dumps(header)]
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(
-                ["theorem_id", "instance", "expected", "computed", "pass", "detail"]
-            )
-            self.lines.append(buf.getvalue().rstrip("\n"))
+            out.write("# " + json.dumps(header) + "\n")
+            self.csv.writerow(["theorem_id", "instance", "expected", "computed", "pass", "detail"])
 
     def add(self, verdict, graph: Graph | None = None) -> bool:
-        """Record one verdict; the first failure keeps the failing graph's
+        """Write one verdict; the first failure keeps the failing graph's
         edge list (or the instance label when there is no graph)."""
-        if self.fmt == "json":
-            self.lines.append(verdict.to_json())
+        if self.csv is None:
+            self.out.write(verdict.to_json() + "\n")
         else:
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(
+            self.csv.writerow(
                 [
                     verdict.theorem_id,
                     verdict.instance,
@@ -273,14 +276,10 @@ class _VerdictSink:
                     verdict.detail,
                 ]
             )
-            self.lines.append(buf.getvalue().rstrip("\n"))
         if not verdict.passed and self.failed is None:
             self.failed = verdict
             self.failed_serialization = to_edge_list(graph) if graph is not None else verdict.instance
         return verdict.passed
-
-    def text(self) -> str:
-        return "".join(line + "\n" for line in self.lines)
 
 
 def cmd_verify(args) -> int:
@@ -291,6 +290,8 @@ def cmd_verify(args) -> int:
     ranged = args.n_from is not None
     if bool(single) == ranged:
         raise ValueError("verify needs either --family/--input or --n-from/--n-to")
+    if single:
+        g, label = _load_graph(args)
 
     header = {
         "version": __version__,
@@ -300,36 +301,34 @@ def cmd_verify(args) -> int:
              "tol", "group-tol", "format", "corrupt"),
         ),
     }
-    sink = _VerdictSink(args.format, header)
-
-    if single:
-        g, label = _load_graph(args)
-        t = _as_tree(g)
-        if t is not None:
-            facts = TreeFacts(t, label, corrupt=args.corrupt)
-            for verdict in tree_checks(facts):
-                if not sink.add(verdict, t):
-                    break
-        else:
-            sink.add(check_diametrical(g, label), g)
-    else:
-        for verdict in _fixed_battery():
-            if not sink.add(verdict):
-                break
-        if sink.failed is None:
-            for n in range(args.n_from, args.n_to + 1):
-                if n >= 3 and not sink.add(check_star_spectrum(n)):
-                    break
-        if sink.failed is None:
-            for label, t in _range_instances(args):
+    with _open_output(args.output) as out:
+        sink = _VerdictSink(args.format, header, out)
+        if single:
+            t = _as_tree(g)
+            if t is not None:
                 facts = TreeFacts(t, label, corrupt=args.corrupt)
                 for verdict in tree_checks(facts):
                     if not sink.add(verdict, t):
                         break
-                if sink.failed is not None:
+            else:
+                sink.add(check_diametrical(g, label), g)
+        else:
+            for verdict in _fixed_battery():
+                if not sink.add(verdict):
                     break
+            if sink.failed is None:
+                for n in range(args.n_from, args.n_to + 1):
+                    if n >= 3 and not sink.add(check_star_spectrum(n)):
+                        break
+            if sink.failed is None:
+                for label, t in _range_instances(args):
+                    facts = TreeFacts(t, label, corrupt=args.corrupt)
+                    for verdict in tree_checks(facts):
+                        if not sink.add(verdict, t):
+                            break
+                    if sink.failed is not None:
+                        break
 
-    _emit(sink.text(), args.output)
     if sink.failed is not None:
         sys.stderr.write(f"FAILED {sink.failed.theorem_id} on {sink.failed.instance}\n")
         sys.stderr.write("instance serialization:\n" + sink.failed_serialization + "\n")

@@ -1,10 +1,23 @@
 """Exact algebra: characteristic polynomials, inertia, ranks, symmetry tests.
 
-Characteristic polynomials are computed by a division-free Berkowitz-style
-recurrence over Python big integers. A matrix with Fraction entries gets its
-inertia from a positive integer multiple of itself. The tests hold a
-Faddeev-LeVerrier implementation as an independent second route; the two
-must agree.
+char_poly takes a symmetric matrix with int entries only; a Fraction entry
+raises ValueError (inertia_of_matrix scales a rational matrix to integers
+first, since a positive multiple has the same inertia). It has two routes,
+both in Python big integers, and picks one from the rank r that the
+matrix's fraction-free elimination gives (SymMatrix.pivots):
+
+- 2r <= n, the low-rank route (a tree's eccentricity matrix has rank 4 or
+  2l). The pivot columns C index a nonsingular principal block M = A_CC,
+  and p_A(x) = x^(n-r) det(xM - G) / det M with G = A_C: A_:C. A
+  fraction-free Gauss-Jordan on [M | G] gives B = d M^-1 G, d = +-det M;
+  Berkowitz runs on the r x r matrix B and its k-th coefficient is divided
+  by d^k, a nonzero remainder raising ArithmeticError.
+- 2r > n (stars, spiders, diametrical graphs): the division-free Berkowitz
+  recurrence on the whole matrix, its matrix-vector products running over
+  each row's nonzero entries.
+
+The tests hold a Faddeev-LeVerrier implementation as an independent second
+route, and check both routes against it and against each other.
 
 Inertia comes from Descartes' rule of signs, which counts positive roots
 exactly for polynomials whose roots are all real. That precondition holds for
@@ -15,7 +28,9 @@ sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd as _int_gcd, lcm
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .matrices import SymMatrix, _bareiss
@@ -54,29 +69,74 @@ class Inertia(NamedTuple):
     n_zero: int
 
 
-def char_poly(m: SymMatrix) -> CharPoly:
-    """Exact characteristic polynomial of an integer matrix (Berkowitz)."""
-    a = m.rows
-    n = len(a)
+def _berkowitz(a):
+    """Coefficients of det(xI - a), highest degree first, for a square row
+    list a of ints (symmetric or not), by the division-free Berkowitz
+    recurrence. Its matrix-vector products run over the nonzero (j, a_ij)
+    pairs of each row of the leading block."""
     poly = [1]
-    for r in range(1, n + 1):
-        rm1 = r - 1
-        q = [1, -a[rm1][rm1]]
-        if rm1:
-            rrow = a[rm1][:rm1]
-            v = [a[i][rm1] for i in range(rm1)]
-            sub = [a[i][:rm1] for i in range(rm1)]
-            q.append(-sum(x * y for x, y in zip(rrow, v)))
-            for _ in range(rm1 - 1):
-                v = [sum(x * y for x, y in zip(row, v)) for row in sub]
-                q.append(-sum(x * y for x, y in zip(rrow, v)))
-        new = [0] * (r + 1)
+    lead = []  # lead[i]: the nonzero (j, a_ij) of row i with j < r
+    for r, row in enumerate(a):
+        left = [(j, x) for j, x in enumerate(row[:r]) if x]
+        col = [a[i][r] for i in range(r)]
+        q = [1, -row[r]]
+        if r:
+            v = col
+            q.append(-sum(x * v[j] for j, x in left))
+            for _ in range(r - 1):
+                v = [sum(x * v[j] for j, x in pairs) for pairs in lead]
+                q.append(-sum(x * v[j] for j, x in left))
+        new = [0] * (r + 2)
         for j, pj in enumerate(poly):
             if pj:
-                for i in range(min(len(q), r + 1 - j)):
+                for i in range(r + 2 - j):
                     new[i + j] += q[i] * pj
         poly = new
-    return CharPoly(tuple(poly))
+        for i, x in enumerate(col):
+            if x:
+                lead[i].append((r, x))
+        lead.append(left + [(r, row[r])] if row[r] else left)
+    return poly
+
+
+def _low_rank(a, cols):
+    """Coefficients of det(xI - M^-1 G), M = a_CC, G = a_C: a_:C, for the
+    pivot columns C of a symmetric integer row list a.
+
+    Gauss-Jordan on [M | G] gives B = d M^-1 G with d = +-det M, so the
+    k-th coefficient is that of det(xI - B) divided by d^k. A nonzero
+    remainder raises ArithmeticError instead of returning a wrong result.
+    """
+    rows = [a[i] for i in cols]
+    aug = [[row[j] for j in cols] + [sum(map(mul, row, other)) for other in rows] for row in rows]
+    rank, _, _, d = _bareiss(aug, jordan=True)
+    if rank < len(cols):
+        raise ArithmeticError("pivot block is singular")
+    coeffs = []
+    scale = 1
+    for c in _berkowitz([row[rank:] for row in aug]):
+        q, rem = divmod(c, scale)
+        if rem:
+            raise ArithmeticError("low-rank coefficient is not divisible by the pivot power")
+        coeffs.append(q)
+        scale *= d
+    return coeffs
+
+
+def char_poly(m: SymMatrix) -> CharPoly:
+    """Exact characteristic polynomial of a symmetric integer matrix.
+
+    With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
+    block; otherwise Berkowitz runs on the whole matrix. Fraction entries
+    raise ValueError: scale such a matrix to integers first.
+    """
+    a = m.rows
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
+        raise ValueError("char_poly needs integer entries; scale Fraction entries first")
+    cols = m.pivots
+    if 2 * len(cols) > m.n:
+        return CharPoly(tuple(_berkowitz(a)))
+    return CharPoly(tuple(_low_rank(a, cols)) + (0,) * (m.n - len(cols)))
 
 
 def inertia_exact(p: CharPoly) -> Inertia:
@@ -89,8 +149,8 @@ def inertia_exact(p: CharPoly) -> Inertia:
 
 
 def rank_exact(m: SymMatrix) -> int:
-    """Rank over the rationals via fraction-free elimination."""
-    return _bareiss([list(r) for r in m.rows])[0]
+    """Rank over the rationals: the number of the matrix's pivot columns."""
+    return len(m.pivots)
 
 
 def _poly_derivative(coeffs):

@@ -11,10 +11,11 @@ from dataclasses import dataclass
 
 from .matrices import SymMatrix
 
-# Largest graph order accepted from input. Family tokens, edge-list headers
-# and tree ranges above it are rejected before anything is built (graph6
-# stops at 62): a distance matrix on 1024 vertices already holds a million
-# entries, and the exact routes cost n^4.
+# Largest graph order accepted from input. Family tokens, edge-list and
+# graph6 headers and tree ranges above it are rejected before anything is
+# built: a distance matrix on 1024 vertices already holds a million entries,
+# and a full-rank characteristic polynomial (stars, diametrical graphs)
+# still costs n^4.
 MAX_ORDER = 1024
 
 
@@ -282,7 +283,11 @@ def to_edge_list(g: Graph) -> str:
 
 
 def read_graph6(line: str) -> Graph:
-    """Decode one graph6 line (up to 62 vertices) into a Graph."""
+    """Decode one graph6 line into a Graph.
+
+    The order is one character up to 62; from 63 on it is "~" and three
+    characters (18 bits), or "~~" and six (36 bits), big-endian.
+    """
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
@@ -291,14 +296,25 @@ def read_graph6(line: str) -> Graph:
     data = [ord(c) - 63 for c in s]
     if any(b < 0 or b > 63 for b in data):
         raise ValueError("invalid graph6 character")
-    if data[0] == 63:
-        raise ValueError("graph6 input with more than 62 vertices is not supported")
-    n = data[0]
+    # the order's digits are data[start:head]
+    if data[0] != 63:
+        start, head = 0, 1
+    elif len(data) > 1 and data[1] == 63:
+        start, head = 2, 8
+    else:
+        start, head = 1, 4
+    if len(data) < head:
+        raise ValueError("graph6 string too short")
+    n = 0
+    for b in data[start:head]:
+        n = (n << 6) | b
     if n < 1:
         raise ValueError("graph6 graph must have at least one vertex")
+    if n > MAX_ORDER:
+        raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
     need = n * (n - 1) // 2
     bits = []
-    for b in data[1:]:
+    for b in data[head:]:
         for k in range(5, -1, -1):
             bits.append((b >> k) & 1)
     if len(bits) < need:

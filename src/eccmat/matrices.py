@@ -2,7 +2,8 @@
 
 One matrix type lives here: an immutable symmetric matrix whose entries are
 Python ints, or Fractions where an entry is not integral. One fraction-free
-elimination kernel serves the determinant, the rank and the Schur
+elimination kernel serves the determinant, the pivot columns (hence the
+rank and the low-rank characteristic polynomial) and the Schur
 complement. Everything downstream (characteristic polynomials, inertia,
 ranks) assumes exact arithmetic, so there is no floating-point fallback
 anywhere in this module.
@@ -25,7 +26,7 @@ def _exact(x):
 class SymMatrix:
     """Symmetric matrix with exact entries: ints, or Fractions where needed."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_pivots")
 
     def __init__(self, rows):
         rows = tuple(tuple(_exact(x) for x in row) for row in rows)
@@ -40,6 +41,19 @@ class SymMatrix:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
         self.n = n
         self.rows = rows
+        self._pivots = None
+
+    @property
+    def pivots(self) -> tuple:
+        """Pivot columns of one fraction-free elimination, run on first use.
+
+        They index a basis of the column space, so their number is the
+        rank, and since the matrix is symmetric the principal block on them
+        is nonsingular.
+        """
+        if self._pivots is None:
+            self._pivots = tuple(_bareiss([list(r) for r in self.rows])[1])
+        return self._pivots
 
     def submatrix(self, indices) -> "SymMatrix":
         """Principal submatrix on the given index subset (kept in order)."""
@@ -145,20 +159,26 @@ def even_diameter_core(d: int, l: int) -> SymMatrix:
     return SymMatrix(rows)
 
 
-def _bareiss(a, block=None):
-    """Fraction-free (Bareiss) elimination of the square row list a, in place.
+def _bareiss(a, block=None, jordan=False):
+    """Fraction-free (Bareiss) elimination of the row list a, in place.
 
-    Columns are taken left to right. Each gets as pivot the first nonzero
-    entry among the rows not yet used, or is skipped when there is none.
-    Every update divides exactly by the previous pivot, so by Sylvester's
-    identity, after k pivots each trailing entry is a (k+1)-square bordered
-    minor and the k-th pivot is the leading k-square minor of the
-    row-swapped matrix. With block=k only the first k columns are
-    eliminated, and their pivots are searched in the first k rows.
+    a has n rows and at least n columns. Columns are taken left to right
+    up to column n - 1. Each gets as pivot the first nonzero entry among
+    the rows not yet used, or is skipped when there is none. Every update
+    divides exactly by the previous pivot, so by Sylvester's identity,
+    after k pivots each trailing entry is a (k+1)-square bordered minor and
+    the k-th pivot is the leading k-square minor of the row-swapped matrix.
+    With block=k only the first k columns are eliminated, and their pivots
+    are searched in the first k rows. With jordan=True the rows above each
+    pivot are updated too (fraction-free Gauss-Jordan): when the leading
+    n-square block M is nonsingular, the columns C beside it end as
+    d * M^-1 C, where d, the last pivot, is +-det M. The block itself, which
+    would end as d times the identity, is left stale.
 
     Returns (rank, pivot columns, sign of the row swaps, last pivot).
     """
     n = len(a)
+    width = len(a[0]) if a else 0
     stop = n if block is None else block
     # Floor division is exact on integral values. With any Fraction entry the
     # whole array becomes Fractions: true division of two ints gives a float.
@@ -179,10 +199,12 @@ def _bareiss(a, block=None):
             sign = -sign
         pivot_row = a[rank]
         pv = pivot_row[c]
-        for i in range(rank + 1, n):
+        for i in range(n) if jordan else range(rank + 1, n):
+            if i == rank:
+                continue
             ai = a[i]
             aic = ai[c]
-            for j in range(c + 1, n):
+            for j in range(c + 1, width):
                 ai[j] = div(ai[j] * pv - aic * pivot_row[j], prev)
         prev = pv
         cols.append(c)

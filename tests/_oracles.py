@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 from eccmat import (
     CharPoly,
@@ -31,6 +32,26 @@ def pruefer_encode(t: Tree):
         del adj[leaf]
         seq.append(parent)
     return tuple(seq)
+
+
+def graph6_order(n: int) -> str:
+    """graph6 order header: one character up to 62, else "~" and three."""
+    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    return "".join(chr(63 + x) for x in head)
+
+
+def to_graph6(g: Graph) -> str:
+    """graph6 line of g: the order header, then the upper triangle column
+    by column, six bits to a character."""
+    n = g.n
+    edges = set(g.edges())
+    bits = [(i, j) in edges for j in range(1, n) for i in range(j)]
+    bits += [False] * (-len(bits) % 6)
+    body = [
+        sum(bit << (5 - k) for k, bit in enumerate(bits[at:at + 6]))
+        for at in range(0, len(bits), 6)
+    ]
+    return graph6_order(n) + "".join(chr(63 + x) for x in body)
 
 
 def floyd_warshall(g: Graph):
@@ -157,10 +178,8 @@ def char_poly_leverrier(m: SymMatrix) -> CharPoly:
             prev_c = coeffs[-1]
             for i in range(n):
                 work[i][i] += prev_c
-            work = [
-                [sum(a[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
+            cols = list(zip(*work))
+            work = [[sum(map(mul, a[i], col)) for col in cols] for i in range(n)]
         tr = sum(work[i][i] for i in range(n))
         if tr % k != 0:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible, input not integral")

@@ -24,6 +24,7 @@ from eccmat import (
     eccentricity_matrix,
     eigenvalues_sym,
     even_diameter_core,
+    exact,
     min_radius_bound,
     min_radius_tree,
     odd_diameter_core,
@@ -65,7 +66,9 @@ def _report(cap, number: int, ok: bool, desc: str) -> None:
 def _run_battery(instances, check_leverrier_upto: int):
     """Shared single pass: run every per-tree predicate and collect the
     per-criterion evidence (failures, low-order coefficients, char-poly
-    route agreement)."""
+    route agreement). Every 5th tree of order above 12 is also checked
+    against full-matrix Berkowitz, the route char_poly leaves for the pivot
+    block when 2 rank <= n."""
     out = {
         "total": 0,
         "failures": {},       # theorem_id -> first few (label, detail)
@@ -73,7 +76,10 @@ def _run_battery(instances, check_leverrier_upto: int):
         "even_seen": 0,
         "fl_checked": 0,
         "fl_bad": [],
+        "bk_checked": 0,
+        "bk_bad": [],
     }
+    big = 0
     for label, t in instances:
         facts = TreeFacts(t, label)
         out["total"] += 1
@@ -102,6 +108,13 @@ def _run_battery(instances, check_leverrier_upto: int):
             if char_poly_leverrier(facts.matrix).coeffs != facts.poly.coeffs:
                 if len(out["fl_bad"]) < 3:
                     out["fl_bad"].append(label)
+        if t.n > 12:
+            big += 1
+            if big % 5 == 0:
+                out["bk_checked"] += 1
+                if tuple(exact._berkowitz(facts.matrix.rows)) != facts.poly.coeffs:
+                    if len(out["bk_bad"]) < 3:
+                        out["bk_bad"].append(label)
     return out
 
 
@@ -297,6 +310,11 @@ def test_criterion_9_char_poly_routes(capsys, sweep_exhaustive, sweep_sampled):
         if sweep["fl_bad"]:
             problems.append(f"route mismatch in the {name} sweep: {sweep['fl_bad']}")
     fl_total = sweep_exhaustive["fl_checked"] + sweep_sampled["fl_checked"]
+    # the pivot-block route agrees with full-matrix Berkowitz above order 12
+    if sweep_sampled["bk_bad"]:
+        problems.append(f"pivot-block route mismatch: {sweep_sampled['bk_bad']}")
+    if sweep_sampled["bk_checked"] != 18 * 500 // 5:
+        problems.append(f"only {sweep_sampled['bk_checked']} trees checked against Berkowitz")
 
     # coefficients equal signed principal-minor sums on the fixed pool,
     # every tree matrix up to order 6, and sampled orders 7..12
@@ -315,7 +333,8 @@ def test_criterion_9_char_poly_routes(capsys, sweep_exhaustive, sweep_sampled):
                 break
 
     ok = not problems
-    _report(capsys, 9, ok, f"char-poly routes agree on {fl_total} swept matrices; "
+    _report(capsys, 9, ok, f"char-poly routes agree on {fl_total} swept matrices "
+                   f"and {sweep_sampled['bk_checked']} trees of order 13..30; "
                    f"coefficients equal signed minor sums on {len(pool)} matrices")
     assert ok, problems
 

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -9,6 +10,9 @@ import pytest
 import eccmat.cli
 from eccmat import MAX_ORDER, __version__
 from eccmat.cli import main
+from eccmat.families import path
+
+from _oracles import graph6_order, to_graph6
 
 
 def run(capsys, *argv):
@@ -122,6 +126,22 @@ class TestInputFiles:
         code, out, _ = run(capsys, "spectrum", "--input", str(f))
         assert code == 0
         assert json.loads(out)["diameter"] == 3
+
+    def test_graph6_long_header_file(self, capsys, tmp_path):
+        f = tmp_path / "p63.g6"
+        f.write_text(to_graph6(path(63)) + "\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["inertia"] == [2, 2, 59] and report["rank"] == 4
+
+    def test_oversized_graph6_rejected(self, capsys, tmp_path):
+        f = tmp_path / "huge.g6"
+        n = MAX_ORDER + 1
+        f.write_text(graph6_order(n) + "\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert code == 2 and out == ""
+        assert err == f"error: {f}: order {n} exceeds the limit of {MAX_ORDER}\n"
 
     def test_empty_input_names_the_file(self, capsys, tmp_path):
         f = tmp_path / "empty.txt"
@@ -312,6 +332,44 @@ class TestVerifyCommand:
         )
         assert code == 2 and "at least 1" in err
 
+    def test_verdicts_stream_before_the_run_ends(self, capsys, monkeypatch):
+        _, want, _ = run(capsys, "verify", "--n-from", "4", "--n-to", "5")
+        early = []
+        real = eccmat.cli._range_instances
+
+        def instances(args):
+            early.append(capsys.readouterr().out)
+            yield from real(args)
+
+        monkeypatch.setattr(eccmat.cli, "_range_instances", instances)
+        code, rest, _ = run(capsys, "verify", "--n-from", "4", "--n-to", "5")
+        assert code == 0
+        # header, fixed battery and star verdicts are out before the first tree
+        assert len(early[0].splitlines()) == 1 + len(eccmat.cli._fixed_battery()) + 2
+        assert early[0] + rest == want
+
+    def test_broken_pipe_mid_stream_exits_1(self, monkeypatch):
+        class Pipe(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                if self.tell() > 4000:
+                    raise BrokenPipeError
+                Pipe.writes += 1
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Pipe())
+        assert main(["verify", "--n-from", "2", "--n-to", "6"]) == 1
+        assert Pipe.writes > 1
+
+    def test_output_file(self, capsys, tmp_path):
+        target = tmp_path / "verdicts.jsonl"
+        for argv in (("--n-from", "2", "--n-to", "5"), ("--family", "path:4", "--corrupt")):
+            want = run(capsys, "verify", *argv)
+            code, out, err = run(capsys, "verify", *argv, "--output", str(target))
+            assert (code, out, err) == (want[0], "", want[2])
+            assert target.read_text() == want[1]
+
 
 class TestSweepCommand:
     def test_exhaustive_small(self, capsys):
@@ -379,18 +437,26 @@ class TestSweepCommand:
 
 
 # sha256 of stdout, recorded before the exact layer was cut down to one
-# matrix type, one elimination kernel and one report command. The eight
-# reports of one graph are hashed together, in the loop order below.
+# matrix type, one elimination kernel and one report command; the entries
+# from "sweep --n-from 40" on were recorded before the low-rank
+# characteristic polynomial, and cover it (trees of order 40..60) and the
+# full-rank fallback (hypercube:5, star:37). A key with a space is a
+# command line; the eight reports of one graph are hashed together, in the
+# loop order below.
 GOLDEN_DIGESTS = {
     "verify --n-from 2 --n-to 6": "09adb32325752ec39c5e99264301dfa8aad925d082fb3d552010b5e2754ad9d0",
     "verify --n-from 9 --n-to 14 --samples 3 --seed 7": "8bc7cb606938d48e502824183d09bf37b0e791ef1821030762ac994eff2b805b",
     "sweep --n-from 4 --n-to 7": "a3035ad138684e917a0c9dfda0d3d5bfdfb05380bc6c91bd97c05dc903f00d44",
+    "sweep --n-from 40 --n-to 60 --samples 1 --seed 3": "f45f5317de094f9589915200d4a84e132f2b0172234b9abff643d087eaaa0d71",
+    "verify --n-from 40 --n-to 44 --samples 2 --seed 5": "3512f1a5529d88d65f873c4bf137211ad2229ca2124d4f3ea98eeb01832da9d1",
     "star:7": "7c64dc252c2d91cb2f9e21ae69a303e2c590fb13bd6e7df5364752169bc68f48",
     "spider:3,2": "b5167ef7d283695852d3787983124ab8196aa2f456791e4fca71cf553055bb54",
     "tndab:10,3,0,6": "4b83a03b5a1f6598e484f7ba1d25bc20ca69dc8b2939e3baaace1eb34e8d448d",
     "cycle:6": "6f0ee59a25b9e2a4092364884815bc7ae54385a85a45f9bff81b2101d35ba799",
     "hypercube:3": "80924358aba415c0c4ad455f433185676942159f7dacd8c5e5abbe4d6a80d3d8",
     "cocktail:3": "85186261d37e106d690768a10a5e8c8ddfc22dfaffe36980ca1553f0b47de27c",
+    "hypercube:5": "0a107b644dc5e7bc2dcfad0c0dfc42f359ca0713931ba08bccc0fa7c8fd6f2a0",
+    "star:37": "c147ec9d03949ec555275d3232f51bf1c61c5862b1781d432bb35aa65f3452fa",
 }
 
 
@@ -401,15 +467,16 @@ def test_golden_output_digests(capsys):
         return out.encode()
 
     got = {}
-    for key in list(GOLDEN_DIGESTS)[:3]:
-        got[key] = hashlib.sha256(stdout(key.split())).hexdigest()
-    for family in list(GOLDEN_DIGESTS)[3:]:
+    for key in GOLDEN_DIGESTS:
+        if " " in key:
+            got[key] = hashlib.sha256(stdout(key.split())).hexdigest()
+            continue
         h = hashlib.sha256()
         for command in ("spectrum", "inertia"):
             for fmt in ("json", "csv"):
                 for dump in ((), ("--dump-matrix",)):
-                    h.update(stdout((command, "--family", family, "--format", fmt, *dump)))
-        got[family] = h.hexdigest()
+                    h.update(stdout((command, "--family", key, "--format", fmt, *dump)))
+        got[key] = h.hexdigest()
     assert got == GOLDEN_DIGESTS
 
 

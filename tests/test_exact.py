@@ -11,7 +11,10 @@ from eccmat import (
     bareiss_det,
     char_poly,
     consecutive_nonzero_witness,
+    distance_matrix,
     distinct_count_exact,
+    eccentricity_matrix,
+    exact,
     inertia_exact,
     inertia_of_matrix,
     poly_gcd,
@@ -111,6 +114,94 @@ class TestCharPoly:
         q = char_poly_leverrier(m).coeffs
         assert p == q
         assert p[0] == 1
+
+
+def low_rank_symmetric(n, r, rng, lead=0):
+    """A random integer U D U^T of rank r, U n x r and D a nonzero diagonal.
+    The first `lead` rows of U are zero or copies of one row, so the pivot
+    columns do not lead."""
+    while True:
+        u = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+        same = [rng.randint(-3, 3) for _ in range(r)]
+        for i in range(lead):
+            u[i] = list(same) if rng.random() < 0.5 else [0] * r
+        d = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(r)]
+        rows = [[sum(u[i][k] * d[k] * u[j][k] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+        m = SymMatrix(rows)
+        if rank_exact(m) == r:
+            return m
+
+
+class TestLowRankRoute:
+    """With 2 rank <= n, char_poly works on the pivot block; it must equal
+    full-matrix Berkowitz and Faddeev-LeVerrier."""
+
+    @staticmethod
+    def agree(m):
+        p = char_poly(m).coeffs
+        assert p == tuple(exact._berkowitz(m.rows))
+        assert p == char_poly_leverrier(m).coeffs
+        return p
+
+    def test_random_low_rank_with_late_pivots(self):
+        rng = random.Random(61)
+        late = 0
+        for n in range(2, 13):
+            for r in range(1, n // 2 + 1):
+                for lead in (0, 1, 2):
+                    m = low_rank_symmetric(n, r, rng, lead=min(lead, n - r))
+                    assert 2 * rank_exact(m) <= n
+                    late += m.pivots != tuple(range(r))
+                    self.agree(m)
+        assert late >= 50
+
+    def test_zero_rank(self):
+        for n in (1, 2, 5):
+            m = SymMatrix([[0] * n for _ in range(n)])
+            assert self.agree(m) == (1,) + (0,) * n
+
+    def test_at_the_switch(self):
+        rng = random.Random(67)
+        for n, r in ((4, 2), (6, 3), (8, 4), (3, 2), (5, 3), (7, 4)):
+            for _ in range(5):
+                m = low_rank_symmetric(n, r, rng, lead=1)
+                assert (2 * rank_exact(m) <= n) == (n % 2 == 0)
+                self.agree(m)
+
+    def test_negative_pivot_block_determinant(self):
+        # pivot block [[0, 2], [2, 0]] (det -4), bordered by combinations of it
+        u = [[1, 0], [0, 1], [1, 1], [2, -1], [0, 3]]
+        block = [[0, 2], [2, 0]]
+        rows = [
+            [sum(u[i][a] * block[a][b] * u[j][b] for a in range(2) for b in range(2))
+             for j in range(5)]
+            for i in range(5)
+        ]
+        m = SymMatrix(rows)
+        assert m.pivots == (0, 1)
+        assert bareiss_det(m.submatrix(m.pivots).rows) == -4
+        self.agree(m)
+
+    def test_trees(self):
+        for n in list(range(13, 61)) + [100]:
+            m = eccentricity_matrix(distance_matrix(pruefer_random(n, f"route:{n}")))
+            assert 2 * rank_exact(m) <= n
+            self.agree(m)
+
+    def test_berkowitz_runs_on_the_pivot_block(self, monkeypatch):
+        sizes = []
+        real = exact._berkowitz
+        monkeypatch.setattr(exact, "_berkowitz", lambda a: sizes.append(len(a)) or real(a))
+        char_poly(TreeFacts(path(9)).matrix)
+        char_poly(TreeFacts(star(9)).matrix)
+        assert sizes == [4, 9]
+
+    def test_fraction_entries_rejected(self):
+        with pytest.raises(ValueError, match="integer entries"):
+            char_poly(SymMatrix([[Fraction(1, 2), 1], [1, 0]]))
+        with pytest.raises(ValueError, match="integer entries"):
+            char_poly(SymMatrix([[1, 0, 0], [0, 0, 0], [0, 0, Fraction(5, 3)]]))
 
 
 class TestInertiaExact:

@@ -26,7 +26,7 @@ from eccmat.families import (
     star,
 )
 
-from _oracles import distinguished_by_paths, floyd_warshall
+from _oracles import distinguished_by_paths, floyd_warshall, graph6_order, to_graph6
 
 
 class TestGraphValidation:
@@ -285,6 +285,22 @@ class TestGraph6Format:
     def test_reject_oversized(self):
         with pytest.raises(ValueError):
             read_graph6("~??")
+
+    def test_long_header_round_trip(self):
+        for g in (path(62), path(63), star(100)):
+            line = to_graph6(g)
+            assert line.startswith("~") == (g.n > 62)
+            h = read_graph6(line)
+            assert h.n == g.n and h.edges() == g.edges()
+
+    def test_long_header_order_cap(self):
+        g = path(MAX_ORDER)
+        assert read_graph6(to_graph6(g)).edges() == g.edges()
+        # rejected from the header alone, before any edge bit is read
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            read_graph6(graph6_order(MAX_ORDER + 1))
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            read_graph6("~~" + "".join(chr(63 + ((10**9 >> s) & 63)) for s in range(30, -1, -6)))
 
     def test_reject_bad_character(self):
         with pytest.raises(ValueError):
