@@ -1,7 +1,7 @@
 """Eccentricity-matrix spectra of trees and graphs.
 
-Exact big-integer and rational linear algebra (characteristic polynomials,
-inertia, ranks, Schur complements) next to a floating-point symmetric
+Exact big-integer linear algebra (characteristic polynomials, inertia,
+ranks, Schur complements) next to a floating-point symmetric
 eigensolver, plus family constructors and the verification predicates that
 compare both routes against closed forms.
 """
@@ -36,7 +36,6 @@ from .exact import (
     consecutive_nonzero_witness,
     distinct_count_exact,
     inertia_exact,
-    inertia_of_matrix,
     poly_gcd,
     rank_exact,
     spectrum_symmetric_exact,

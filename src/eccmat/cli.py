@@ -71,32 +71,32 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
 
-    def add_output(p, tols: bool):
-        if tols:
-            p.add_argument(
-                "--tol", type=float, default=DEFAULT_EIGEN_TOL,
-                help="eigensolver convergence threshold",
-            )
-            p.add_argument(
-                "--group-tol", type=float, default=None,
-                help="eigenvalue grouping threshold (default scales with the matrix)",
-            )
+    def add_output(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", help="write the report here instead of stdout")
 
-    for name, tols, help_text in (
-        ("spectrum", True, "full exact + float report for one graph"),
-        ("inertia", False, "exact inertia and rank for one graph"),
+    for name, help_text in (
+        ("spectrum", "full exact + float report for one graph"),
+        ("inertia", "exact inertia and rank for one graph"),
     ):
         p_report = sub.add_parser(name, help=help_text)
         add_source(p_report)
-        add_output(p_report, tols=tols)
+        if name == "spectrum":
+            p_report.add_argument(
+                "--tol", type=float, default=DEFAULT_EIGEN_TOL,
+                help="eigensolver convergence threshold",
+            )
+            p_report.add_argument(
+                "--group-tol", type=float, default=None,
+                help="eigenvalue grouping threshold (default scales with the matrix)",
+            )
+        add_output(p_report)
         p_report.add_argument("--dump-matrix", action="store_true", help="also print the eccentricity matrix")
 
     p_ver = sub.add_parser("verify", help="run every applicable predicate; exit 1 on any failure")
     add_source(p_ver)
     add_range(p_ver)
-    add_output(p_ver, tols=True)
+    add_output(p_ver)
     p_ver.add_argument(
         "--corrupt", action="store_true",
         help="negative-control hook: perturb one matrix entry before checking",
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sw = sub.add_parser("sweep", help="tabulate inertia patterns and distinct counts over a range")
     add_range(p_sw)
-    add_output(p_sw, tols=False)
+    add_output(p_sw)
     return parser
 
 
@@ -114,11 +114,10 @@ def _load_graph(args) -> tuple[Graph, str]:
         raise ValueError("exactly one of --family or --input is required")
     if args.family:
         return parse_family(args.family), args.family
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return read_graph(text), f"input:{args.input}"
-    except ValueError as exc:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            return read_graph(fh.read()), f"input:{args.input}"
+    except ValueError as exc:  # a parse error, or UnicodeDecodeError
         raise ValueError(f"{args.input}: {exc}") from None
 
 
@@ -223,6 +222,8 @@ def _validate_range(args) -> None:
         raise ValueError("--n-from and --n-to must be given together")
     if args.n_from is not None and args.n_from < 2:
         raise ValueError("--n-from must be at least 2")
+    if args.n_from is not None and args.n_from > args.n_to:
+        raise ValueError(f"--n-from {args.n_from} is greater than --n-to {args.n_to}")
     if args.n_to is not None and args.n_to > MAX_ORDER:
         raise ValueError(f"--n-to must be at most {MAX_ORDER}")
     if args.samples is not None and args.samples < 1:
@@ -283,8 +284,6 @@ class _VerdictSink:
 
 
 def cmd_verify(args) -> int:
-    if args.tol <= 0 or (args.group_tol is not None and args.group_tol <= 0):
-        raise ValueError("tolerances must be positive")
     _validate_range(args)
     single = args.family or args.input
     ranged = args.n_from is not None
@@ -298,7 +297,7 @@ def cmd_verify(args) -> int:
         "config": _config(
             args,
             ("command", "family", "input", "n-from", "n-to", "samples", "seed",
-             "tol", "group-tol", "format", "corrupt"),
+             "format", "corrupt"),
         ),
     }
     with _open_output(args.output) as out:

@@ -1,10 +1,10 @@
 """Exact algebra: characteristic polynomials, inertia, ranks, symmetry tests.
 
-char_poly takes a symmetric matrix with int entries only; a Fraction entry
-raises ValueError (inertia_of_matrix scales a rational matrix to integers
-first, since a positive multiple has the same inertia). It has two routes,
-both in Python big integers, and picks one from the rank r that the
-matrix's fraction-free elimination gives (SymMatrix.pivots):
+char_poly takes a symmetric integer matrix (SymMatrix holds ints only; a
+Schur complement comes as a positive integer multiple with the same
+inertia). It has two routes, both in Python big integers, and picks one
+from the rank r that the matrix's fraction-free elimination gives
+(SymMatrix.pivots):
 
 - 2r <= n, the low-rank route (a tree's eccentricity matrix has rank 4 or
   2l). The pivot columns C index a nonsingular principal block M = A_CC,
@@ -28,8 +28,7 @@ sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from math import gcd as _int_gcd, lcm
+from math import gcd as _int_gcd
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -127,12 +126,9 @@ def char_poly(m: SymMatrix) -> CharPoly:
     """Exact characteristic polynomial of a symmetric integer matrix.
 
     With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
-    block; otherwise Berkowitz runs on the whole matrix. Fraction entries
-    raise ValueError: scale such a matrix to integers first.
+    block; otherwise Berkowitz runs on the whole matrix.
     """
     a = m.rows
-    if not set(map(type, chain.from_iterable(a))) <= {int}:
-        raise ValueError("char_poly needs integer entries; scale Fraction entries first")
     cols = m.pivots
     if 2 * len(cols) > m.n:
         return CharPoly(tuple(_berkowitz(a)))
@@ -227,15 +223,3 @@ def consecutive_nonzero_witness(p: CharPoly) -> Optional[int]:
         if stripped[i] != 0 and stripped[i + 1] != 0:
             return i
     return None
-
-
-def inertia_of_matrix(m: SymMatrix) -> Inertia:
-    """Exact inertia of a symmetric matrix with int or Fraction entries.
-
-    A positive multiple has the same inertia, so Fraction entries are first
-    scaled to integers by the lcm of their denominators.
-    """
-    scale = lcm(*(x.denominator for row in m.rows for x in row))
-    if scale > 1:
-        m = SymMatrix([[x * scale for x in row] for row in m.rows])
-    return inertia_exact(char_poly(m))

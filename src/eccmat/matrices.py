@@ -1,39 +1,33 @@
-"""Dense symmetric matrices with exact entries, plus the structured builders.
+"""Dense symmetric integer matrices, plus the structured builders.
 
-One matrix type lives here: an immutable symmetric matrix whose entries are
-Python ints, or Fractions where an entry is not integral. One fraction-free
-elimination kernel serves the determinant, the pivot columns (hence the
-rank and the low-rank characteristic polynomial) and the Schur
-complement. Everything downstream (characteristic polynomials, inertia,
-ranks) assumes exact arithmetic, so there is no floating-point fallback
-anywhere in this module.
+One matrix type lives here: an immutable symmetric matrix of Python ints,
+the only number type of the exact layer. One fraction-free elimination
+kernel serves the determinant, the pivot columns (hence the rank and the
+low-rank characteristic polynomial) and the Schur complement, which comes
+out as a positive integer multiple so that it stays in the same type.
+Everything downstream (characteristic polynomials, inertia, ranks) assumes
+exact arithmetic, so there is no floating-point fallback anywhere in this
+module.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from operator import floordiv, truediv
-
-
-def _exact(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if type(x) is int:
-        return x
-    f = Fraction(x)
-    return f.numerator if f.denominator == 1 else f
-
 
 class SymMatrix:
-    """Symmetric matrix with exact entries: ints, or Fractions where needed."""
+    """Symmetric matrix of Python ints; any other entry type (bool, float,
+    a rational) raises ValueError."""
 
     __slots__ = ("n", "rows", "_pivots")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_exact(x) for x in row) for row in rows)
+        rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
+            for x in row:
+                if type(x) is not int:
+                    raise ValueError(f"matrix entries must be int, not {type(x).__name__}")
         for i in range(n):
             ri = rows[i]
             for j in range(i):
@@ -64,8 +58,8 @@ class SymMatrix:
         return max((abs(x) for row in self.rows for x in row), default=0)
 
     def to_text(self) -> str:
-        """Plain-text dump: first line the order, then one line per row;
-        entries are rendered as p or p/q."""
+        """Plain-text dump: first line the order, then one line per row of
+        space-separated integers."""
         lines = [str(self.n)]
         lines.extend(" ".join(str(x) for x in row) for row in self.rows)
         return "\n".join(lines)
@@ -160,7 +154,7 @@ def even_diameter_core(d: int, l: int) -> SymMatrix:
 
 
 def _bareiss(a, block=None, jordan=False):
-    """Fraction-free (Bareiss) elimination of the row list a, in place.
+    """Integer-preserving (Bareiss) elimination of the row list a, in place.
 
     a has n rows and at least n columns. Columns are taken left to right
     up to column n - 1. Each gets as pivot the first nonzero entry among
@@ -180,13 +174,6 @@ def _bareiss(a, block=None, jordan=False):
     n = len(a)
     width = len(a[0]) if a else 0
     stop = n if block is None else block
-    # Floor division is exact on integral values. With any Fraction entry the
-    # whole array becomes Fractions: true division of two ints gives a float.
-    if all(x.denominator == 1 for row in a for x in row):
-        div = floordiv
-    else:
-        div = truediv
-        a[:] = [[Fraction(x) for x in row] for row in a]
     rank, cols, sign, prev = 0, [], 1, 1
     for c in range(stop):
         for piv in range(rank, stop):
@@ -205,7 +192,7 @@ def _bareiss(a, block=None, jordan=False):
             ai = a[i]
             aic = ai[c]
             for j in range(c + 1, width):
-                ai[j] = div(ai[j] * pv - aic * pivot_row[j], prev)
+                ai[j] = (ai[j] * pv - aic * pivot_row[j]) // prev
         prev = pv
         cols.append(c)
         rank += 1
@@ -220,10 +207,13 @@ def bareiss_det(rows):
 
 
 def schur_complement(m: SymMatrix, pivot_set) -> SymMatrix:
-    """A22 - A21 A11^{-1} A12 over exact rationals, pivoting on pivot_set.
+    """|det A11| (A22 - A21 A11^{-1} A12), pivoting on pivot_set.
 
-    Eliminates the pivot block's columns, then divides the trailing block
-    by the last pivot (Sylvester's identity). Raises ValueError naming the
+    A positive multiple of the Schur complement, so it has the Schur
+    complement's inertia and rank, in integers. Eliminating the pivot
+    block's columns leaves the trailing block equal to the last pivot,
+    +-det A11, times the Schur complement (Sylvester's identity); the sign
+    of that pivot makes the multiple positive. Raises ValueError naming the
     set if the pivot block is singular.
     """
     pivot = sorted(set(pivot_set))
@@ -236,4 +226,5 @@ def schur_complement(m: SymMatrix, pivot_set) -> SymMatrix:
     rank, _, _, last = _bareiss(a, k)
     if rank < k:
         raise ValueError(f"singular pivot block {pivot}")
-    return SymMatrix([[Fraction(x, last) for x in row[k:]] for row in a[k:]])
+    sign = -1 if last < 0 else 1
+    return SymMatrix([[sign * x for x in row[k:]] for row in a[k:]])

@@ -13,7 +13,8 @@ from eccmat import (
     SymMatrix,
     Tree,
     bareiss_det,
-    inertia_of_matrix,
+    char_poly,
+    inertia_exact,
     schur_complement,
 )
 
@@ -208,10 +209,10 @@ def principal_minor_sum(m: SymMatrix, k: int) -> int:
 def haynsworth_check(m: SymMatrix, pivot_set) -> bool:
     """Inertia additivity: In(m) = In(pivot block) + In(Schur complement)."""
     pivot = sorted(set(pivot_set))
-    comp = schur_complement(m, pivot)
-    part = inertia_of_matrix(m.submatrix(pivot))
-    whole = inertia_of_matrix(m)
-    return whole == tuple(x + y for x, y in zip(part, inertia_of_matrix(comp)))
+    comp = inertia_exact(char_poly(schur_complement(m, pivot)))
+    part = inertia_exact(char_poly(m.submatrix(pivot)))
+    whole = inertia_exact(char_poly(m))
+    return whole == tuple(x + y for x, y in zip(part, comp))
 
 
 def schur_by_solve(rows, pivot):
@@ -253,16 +254,6 @@ def random_symmetric(n: int, rng: random.Random, lo: int = -6, hi: int = 6) -> S
         rows[i][i] = rng.randint(lo, hi)
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = rng.randint(lo, hi)
-    return SymMatrix(rows)
-
-
-def mixed_symmetric(n: int, rng: random.Random, lo: int = -2, hi: int = 2) -> SymMatrix:
-    """Random symmetric matrix whose entries mix ints and Fractions: each
-    entry is an integer divided by 1, 2 or 3."""
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2, 3)))
     return SymMatrix(rows)
 
 

@@ -149,6 +149,13 @@ class TestInputFiles:
         code, out, err = run(capsys, "inertia", "--input", str(f))
         assert code == 2 and out == "" and err == f"error: {f}: empty input\n"
 
+    def test_non_utf8_input_names_the_file(self, capsys, tmp_path):
+        f = tmp_path / "latin1.txt"
+        f.write_bytes(b"2 1\n0 1 # \xff\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {f}: 'utf-8' codec can't decode byte 0xff")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "spectrum", "--input", "/nonexistent/g.txt")
         assert code == 2 and err.startswith("error:")
@@ -192,6 +199,12 @@ class TestArgumentErrors:
     def test_oversized_range_rejected(self, capsys):
         code, _, err = run(capsys, "sweep", "--n-from", "2", "--n-to", str(MAX_ORDER + 1))
         assert code == 2 and "at most" in err
+
+    def test_reversed_range_rejected(self, capsys):
+        for command in ("verify", "sweep"):
+            code, out, err = run(capsys, command, "--n-from", "10", "--n-to", "5")
+            assert (code, out) == (2, "")
+            assert err == "error: --n-from 10 is greater than --n-to 5\n"
 
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "spectrum", "--family", "wheel:5")
@@ -326,6 +339,12 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--n-from", "1", "--n-to", "3")
         assert code == 2 and "at least 2" in err
 
+    def test_tolerances_are_spectrum_only(self, capsys):
+        code, out, _ = run(capsys, "verify", "--family", "path:5", "--tol", "1e300")
+        assert (code, out) == (2, "")
+        _, out, _ = run(capsys, "verify", "--family", "path:5")
+        assert "tol" not in json.loads(out.splitlines()[0])["config"]
+
     def test_zero_samples_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--n-from", "9", "--n-to", "9", "--samples", "0"
@@ -440,15 +459,17 @@ class TestSweepCommand:
 # matrix type, one elimination kernel and one report command; the entries
 # from "sweep --n-from 40" on were recorded before the low-rank
 # characteristic polynomial, and cover it (trees of order 40..60) and the
-# full-rank fallback (hypercube:5, star:37). A key with a space is a
+# full-rank fallback (hypercube:5, star:37). The three verify digests were
+# recorded again when verify stopped echoing the tolerance flags it never
+# used; only their header line changed. A key with a space is a
 # command line; the eight reports of one graph are hashed together, in the
 # loop order below.
 GOLDEN_DIGESTS = {
-    "verify --n-from 2 --n-to 6": "09adb32325752ec39c5e99264301dfa8aad925d082fb3d552010b5e2754ad9d0",
-    "verify --n-from 9 --n-to 14 --samples 3 --seed 7": "8bc7cb606938d48e502824183d09bf37b0e791ef1821030762ac994eff2b805b",
+    "verify --n-from 2 --n-to 6": "bc5ffbaeac1c3922a896705e4255f5218c54196147f736f1afd37e5f556bede4",
+    "verify --n-from 9 --n-to 14 --samples 3 --seed 7": "5b61d14ba846423e12d1caf37cb671604894b859edb5f42b850b711c8752d43b",
     "sweep --n-from 4 --n-to 7": "a3035ad138684e917a0c9dfda0d3d5bfdfb05380bc6c91bd97c05dc903f00d44",
     "sweep --n-from 40 --n-to 60 --samples 1 --seed 3": "f45f5317de094f9589915200d4a84e132f2b0172234b9abff643d087eaaa0d71",
-    "verify --n-from 40 --n-to 44 --samples 2 --seed 5": "3512f1a5529d88d65f873c4bf137211ad2229ca2124d4f3ea98eeb01832da9d1",
+    "verify --n-from 40 --n-to 44 --samples 2 --seed 5": "b3eda64974718afb02c3d9dac8cfb2908ae3b06224d74b99ddc2f6e61265cc1d",
     "star:7": "7c64dc252c2d91cb2f9e21ae69a303e2c590fb13bd6e7df5364752169bc68f48",
     "spider:3,2": "b5167ef7d283695852d3787983124ab8196aa2f456791e4fca71cf553055bb54",
     "tndab:10,3,0,6": "4b83a03b5a1f6598e484f7ba1d25bc20ca69dc8b2939e3baaace1eb34e8d448d",
