@@ -60,11 +60,9 @@ from .graphs import (
     Graph,
     Tree,
     TreeMeta,
-    VertexPartition,
     bfs_distances,
     diametrical_pairing,
     distance_matrix,
-    partition_vertices,
     read_edge_list,
     read_graph,
     read_graph6,

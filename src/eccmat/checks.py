@@ -27,7 +27,6 @@ from .graphs import (
     Tree,
     diametrical_pairing,
     distance_matrix,
-    partition_vertices,
     tree_meta,
 )
 from .matrices import (
@@ -136,35 +135,34 @@ def _facts(t: Tree, facts: TreeFacts | None) -> TreeFacts:
     return facts
 
 
+def _predicted_inertia(f: TreeFacts) -> Inertia:
+    """The inertia the paper proves for a tree's eccentricity matrix."""
+    n = f.tree.n
+    diam = f.meta.diameter
+    if diam <= 2:
+        return Inertia(1, n - 1, 0)
+    if diam % 2 == 1:
+        return Inertia(2, 2, n - 4)
+    l = f.meta.distinguished_count
+    return Inertia(l, l, n - 2 * l)
+
+
 def check_inertia(t: Tree, facts: TreeFacts | None = None) -> Verdict:
     """Inertia is (1,n-1,0) for stars, (2,2,n-4) for odd diameter >= 3,
     (l,l,n-2l) for even diameter >= 4."""
     f = _facts(t, facts)
-    n = t.n
-    if n < 2:
+    if t.n < 2:
         raise ValueError("check_inertia requires n >= 2")
-    diam = f.meta.diameter
-    if diam <= 2:
-        expected = Inertia(1, n - 1, 0)
-    elif diam % 2 == 1:
-        expected = Inertia(2, 2, n - 4)
-    else:
-        l = f.meta.distinguished_count
-        expected = Inertia(l, l, n - 2 * l)
+    expected = _predicted_inertia(f)
     computed = f.inertia
     return _verdict("tree-inertia", f.label, expected, computed, expected == computed)
 
 
 def check_rank(t: Tree, facts: TreeFacts | None = None) -> Verdict:
-    """Rank is n for stars, 4 for odd diameter >= 3, 2l for even diameter >= 4."""
+    """Rank is n minus the predicted nullity: n for stars, 4 for odd
+    diameter >= 3, 2l for even diameter >= 4."""
     f = _facts(t, facts)
-    diam = f.meta.diameter
-    if diam <= 2:
-        expected = t.n
-    elif diam % 2 == 1:
-        expected = 4
-    else:
-        expected = 2 * f.meta.distinguished_count
+    expected = t.n - _predicted_inertia(f).n_zero
     # the elimination's rank, not n minus the polynomial's zero roots
     computed = rank_exact(f.matrix)
     return _verdict("tree-rank", f.label, expected, computed, expected == computed)
@@ -388,77 +386,29 @@ def check_core_minor_sums(d: int, l: int) -> Verdict:
 
 
 def check_block_structure(t: Tree, facts: TreeFacts | None = None) -> Verdict:
-    """Every entry of the eccentricity matrix matches the value its
-    partition-class pair predicts; odd diameter additionally yields the
-    two-sided antidiagonal block form."""
+    """Every entry of the eccentricity matrix has its block-form value, by
+    one rule for both diameter parities: the entry of u and v is
+    min(ecc u, ecc v) when they lie in different branches (TreeMeta.branch)
+    and one of them is peripheral (ecc = diameter), else 0."""
     f = _facts(t, facts)
     diam = f.meta.diameter
     if diam < 3:
         raise ValueError("check_block_structure requires diameter >= 3")
-    part = partition_vertices(t, f.meta, dist=f.dist)
-    cls = [0] * t.n
-    for idx, p in enumerate(part.parts):
-        for v in p:
-            cls[v] = idx
     ecc = f.meta.ecc
+    branch = f.meta.branch
     rows = f.matrix.rows
     mismatches = 0
     first = ""
-    if part.kind == "odd":
-        d = (diam - 1) // 2
-        for u in range(t.n):
-            for v in range(u + 1, t.n):
-                ci, cj = cls[u], cls[v]
-                # b is the vertex in the later class; rules cite its eccentricity.
-                if ci > cj:
-                    ci, cj, b = cj, ci, u
-                else:
-                    b = v
-                if ci == cj:
-                    want = 0
-                elif (ci, cj) == (0, 1):
-                    want = 2 * d + 1
-                elif (ci, cj) == (0, 3):
-                    want = ecc[b]
-                elif (ci, cj) == (1, 2):
-                    want = ecc[b]
-                else:
-                    want = 0
-                if rows[u][v] != want:
-                    mismatches += 1
-                    if not first:
-                        first = f"entry ({u},{v}) = {rows[u][v]}, predicted {want}"
-        # Same-side entries must vanish: classes 0,2 against each other and 1,3.
-        for u in range(t.n):
-            for v in range(u + 1, t.n):
-                if cls[u] % 2 == cls[v] % 2 and rows[u][v] != 0:
-                    mismatches += 1
-                    if not first:
-                        first = f"same-side entry ({u},{v}) = {rows[u][v]} nonzero"
-    else:
-        d = diam // 2
-        l = f.meta.distinguished_count
-        rest = 2 * l
-        for u in range(t.n):
-            for v in range(u + 1, t.n):
-                ci, cj = cls[u], cls[v]
-                if ci > cj:
-                    ci, cj, b = cj, ci, u
-                else:
-                    b = v
-                deep_i = ci if ci < l else None
-                if cj == rest:
-                    want = ecc[b] if deep_i is not None else 0
-                elif deep_i is not None and cj < l:
-                    want = 2 * d if ci != cj else 0
-                elif deep_i is not None:
-                    want = ecc[b] if cj - l != ci else 0
-                else:
-                    want = 0
-                if rows[u][v] != want:
-                    mismatches += 1
-                    if not first:
-                        first = f"entry ({u},{v}) = {rows[u][v]}, predicted {want}"
+    for u in range(t.n):
+        for v in range(u + 1, t.n):
+            if branch[u] != branch[v] and diam in (ecc[u], ecc[v]):
+                want = min(ecc[u], ecc[v])
+            else:
+                want = 0
+            if rows[u][v] != want:
+                mismatches += 1
+                if not first:
+                    first = f"entry ({u},{v}) = {rows[u][v]}, predicted {want}"
     expected = {"mismatches": 0}
     computed = {"mismatches": mismatches}
     return _verdict(

@@ -163,6 +163,8 @@ def cmd_report(args) -> int:
     matrix = eccentricity_matrix(distance_matrix(g))
     poly = char_poly(matrix)
     inertia = inertia_exact(poly)
+    # reads the elimination char_poly ran, kept on the matrix
+    rank = rank_exact(matrix)
     tols = ("tol", "group-tol") if full else ()
     report = {
         "version": __version__,
@@ -179,7 +181,7 @@ def cmd_report(args) -> int:
         report.update({
             "char_poly": poly.to_json(),
             "inertia": list(inertia),
-            "rank": g.n - inertia.n_zero,
+            "rank": rank,
             "spectrum": {
                 "values": list(spectrum.values),
                 "multiplicities": list(spectrum.multiplicities),
@@ -190,8 +192,7 @@ def cmd_report(args) -> int:
             "symmetric": spectrum_symmetric_exact(poly),
         })
     else:
-        # the elimination char_poly ran, kept on the matrix
-        report.update({"inertia": list(inertia), "rank": rank_exact(matrix)})
+        report.update({"inertia": list(inertia), "rank": rank})
     if args.dump_matrix:
         report["matrix"] = [list(row) for row in matrix.rows]
     if args.format == "json":

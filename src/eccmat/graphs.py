@@ -1,4 +1,5 @@
-"""Graphs, trees, distances, centers, and the diameter-based vertex partitions.
+"""Graphs, trees, distances, and tree metadata: centers and the branches
+hanging off them.
 
 Vertices are integers 0..n-1 and every graph is simple and connected; both
 properties are enforced at construction time so no later operation has to
@@ -109,109 +110,61 @@ def distance_matrix(g: Graph) -> SymMatrix:
 
 @dataclass(frozen=True)
 class TreeMeta:
-    """Eccentricities, diameter, centers, and distinguished vertices.
+    """Eccentricities, diameter, centers, branches and distinguished vertices.
 
-    distinguished holds, for even diameter, the neighbors of the center that
-    lie on some diametrical path; distinguished_count is its size. For odd
-    diameter the set is empty and the count is None.
+    branch[v] names the component of T minus its center that holds v: for
+    even diameter the center's neighbor on v's path from the center (the
+    center is keyed by itself), for odd diameter the nearer of the two
+    centers. distinguished holds, for even diameter, the branches that
+    reach depth diameter/2, i.e. the center's neighbors on some diametrical
+    path; distinguished_count is its size. For odd diameter the set is
+    empty and the count is None.
     """
 
     ecc: tuple
     diameter: int
     centers: tuple
+    branch: tuple
     distinguished: frozenset
     distinguished_count: int | None
 
 
 def tree_meta(t: Tree, dist: SymMatrix | None = None) -> TreeMeta:
-    """Compute eccentricities, centers, and the distinguished-vertex set."""
+    """Compute eccentricities, centers, branches and distinguished vertices."""
     if dist is None:
         dist = distance_matrix(t)
     ecc = tuple(max(row) for row in dist.rows)
     diameter = max(ecc)
     radius = min(ecc)
     centers = tuple(v for v in range(t.n) if ecc[v] == radius)
-    if diameter % 2 == 1:
+    odd = diameter % 2 == 1
+    branch = [-1] * t.n
+    if odd:
         if len(centers) != 2 or centers[1] not in t.adj[centers[0]]:
             raise RuntimeError("odd-diameter tree must have two adjacent centers")
-        return TreeMeta(ecc, diameter, centers, frozenset(), None)
-    if len(centers) != 1:
-        raise RuntimeError("even-diameter tree must have a unique center")
-    u0 = centers[0]
-    d = diameter // 2
-    distinguished = set()
-    if d >= 1:
-        # v is distinguished iff some deepest vertex lies in v's branch,
-        # i.e. dist(v, w) = d - 1 for a vertex w at distance d from u0.
-        row0 = dist.rows[u0]
-        for w in range(t.n):
-            if row0[w] == d:
-                for v in t.adj[u0]:
-                    if dist.rows[v][w] == d - 1:
-                        distinguished.add(v)
-                        break
-    return TreeMeta(ecc, diameter, centers, frozenset(distinguished), len(distinguished))
-
-
-@dataclass(frozen=True)
-class VertexPartition:
-    """Ordered disjoint vertex classes covering V(T).
-
-    kind "odd": 4 classes (deep side 1, deep side 2, rest side 1, rest side 2).
-    kind "even": 2l+1 classes (l deep classes, l mid classes, center class).
-    """
-
-    parts: tuple
-    kind: str
-
-
-def partition_vertices(t: Tree, meta: TreeMeta, dist: SymMatrix | None = None) -> VertexPartition:
-    """Split V(T) into the diameter-parity partition used by the inertia checks."""
-    kind = "odd" if meta.diameter % 2 == 1 else "even"
-    if dist is None:
-        dist = distance_matrix(t)
-    if kind == "odd":
-        if meta.diameter < 3:
-            raise ValueError("odd partition needs diameter >= 3")
-        d = (meta.diameter - 1) // 2
-        u0, v0 = meta.centers
-        du = dist.rows[u0]
-        dv = dist.rows[v0]
-        side1 = [w for w in range(t.n) if du[w] < dv[w]]
-        side2 = [w for w in range(t.n) if dv[w] < du[w]]
-        parts = (
-            frozenset(w for w in side1 if du[w] == d),
-            frozenset(w for w in side2 if dv[w] == d),
-            frozenset(w for w in side1 if du[w] < d),
-            frozenset(w for w in side2 if dv[w] < d),
-        )
+        roots = centers
     else:
-        if meta.diameter < 4:
-            raise ValueError("even partition needs diameter >= 4")
-        d = meta.diameter // 2
-        u0 = meta.centers[0]
-        du = dist.rows[u0]
-        branches = sorted(meta.distinguished)
-        deep_parts = []
-        mid_parts = []
-        assigned = set()
-        for ui in branches:
-            di = dist.rows[ui]
-            branch = [w for w in range(t.n) if di[w] == du[w] - 1]
-            assigned.update(branch)
-            deep_parts.append(frozenset(w for w in branch if du[w] == d))
-            mid_parts.append(frozenset(w for w in branch if 0 < du[w] < d))
-        center_part = frozenset(w for w in range(t.n) if w not in assigned)
-        parts = tuple(deep_parts) + tuple(mid_parts) + (center_part,)
-
-    covered = set()
-    total = 0
-    for p in parts:
-        total += len(p)
-        covered.update(p)
-    if total != t.n or len(covered) != t.n:
-        raise RuntimeError("partition classes must be disjoint and cover V(T)")
-    return VertexPartition(parts, kind)
+        if len(centers) != 1:
+            raise RuntimeError("even-diameter tree must have a unique center")
+        (u0,) = centers
+        branch[u0] = u0
+        roots = t.adj[u0]
+    for r in roots:
+        branch[r] = r
+    stack = list(roots)
+    while stack:
+        u = stack.pop()
+        for w in t.adj[u]:
+            if branch[w] < 0:
+                branch[w] = branch[u]
+                stack.append(w)
+    if odd:
+        return TreeMeta(ecc, diameter, centers, tuple(branch), frozenset(), None)
+    d = diameter // 2
+    row0 = dist.rows[u0]
+    # a lone vertex (d = 0) has no branches
+    distinguished = frozenset(branch[w] for w in range(t.n) if row0[w] == d) if d else frozenset()
+    return TreeMeta(ecc, diameter, centers, tuple(branch), distinguished, len(distinguished))
 
 
 def diametrical_pairing(g: Graph, dist: SymMatrix | None = None):

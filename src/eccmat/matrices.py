@@ -119,7 +119,8 @@ def deep_mid_block(d: int, n: int) -> SymMatrix:
 
 def odd_diameter_core(d: int) -> SymMatrix:
     """4x4 principal submatrix of an odd-diameter (2d+1) tree eccentricity
-    matrix on one vertex from each partition class."""
+    matrix: a peripheral vertex on each side of the central edge, then a
+    vertex of eccentricity 2d on the first side and one on the second."""
     if d < 1:
         raise ValueError("d must be positive")
     return SymMatrix([

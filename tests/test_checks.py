@@ -35,6 +35,7 @@ from eccmat.families import (
     star,
 )
 from eccmat.graphs import Tree
+from eccmat.matrices import SymMatrix
 
 
 class TestVerdictType:
@@ -286,6 +287,18 @@ class TestBlockStructure:
         v = check_block_structure(t, facts)
         assert not v.passed
         assert v.detail
+
+    def test_same_side_entry_counted_once(self):
+        # 0 and 1 lie on the same side of path(6)'s central edge
+        t = path(6)
+        facts = TreeFacts(t)
+        rows = [list(r) for r in facts.matrix.rows]
+        rows[0][1] += 1
+        rows[1][0] += 1
+        facts.matrix = SymMatrix(rows)
+        v = check_block_structure(t, facts)
+        assert v.computed == {"mismatches": 1}
+        assert v.detail == "entry (0,1) = 1, predicted 0"
 
 
 class TestDiametrical:

@@ -9,7 +9,6 @@ from eccmat import (
     bfs_distances,
     diametrical_pairing,
     distance_matrix,
-    partition_vertices,
     read_edge_list,
     read_graph,
     read_graph6,
@@ -26,7 +25,13 @@ from eccmat.families import (
     star,
 )
 
-from _oracles import distinguished_by_paths, floyd_warshall, graph6_order, to_graph6
+from _oracles import (
+    distinguished_by_paths,
+    floyd_warshall,
+    graph6_order,
+    to_graph6,
+    tree_path_vertices,
+)
 
 
 class TestGraphValidation:
@@ -137,62 +142,44 @@ class TestTreeMeta:
         assert hits > 0
 
 
-class TestPartition:
-    def test_odd_partition_shape(self):
-        t = path(6)
-        meta = tree_meta(t)
-        part = partition_vertices(t, meta)
-        assert part.kind == "odd"
-        assert part.parts == (
-            frozenset({0}),
-            frozenset({5}),
-            frozenset({1, 2}),
-            frozenset({3, 4}),
-        )
+class TestBranch:
+    def test_odd_branch_shape(self):
+        # each half of the path is keyed by its nearer center
+        assert tree_meta(path(6)).branch == (2, 2, 2, 3, 3, 3)
 
-    def test_even_partition_shape(self):
-        t = path(5)
-        meta = tree_meta(t)
-        part = partition_vertices(t, meta)
-        assert part.kind == "even"
-        # deep class per branch, mid class per branch, then the center class
-        assert part.parts == (
-            frozenset({0}),
-            frozenset({4}),
-            frozenset({1}),
-            frozenset({3}),
-            frozenset({2}),
-        )
+    def test_even_branch_shape(self):
+        # the center keys itself, the rest by the center's neighbor
+        assert tree_meta(path(5)).branch == (1, 1, 2, 3, 3)
 
-    def test_partition_covers_and_is_disjoint(self):
+    def test_key_is_center_or_on_path_from_center(self):
+        parities = set()
         for i in range(40):
-            t = pruefer_random(10, f"part:{i}")
+            t = pruefer_random(10, f"branch:{i}")
             meta = tree_meta(t)
-            if meta.diameter < 3 or (meta.diameter % 2 == 0 and meta.diameter < 4):
+            parities.add(meta.diameter % 2)
+            for v in range(t.n):
+                if len(meta.centers) == 1:
+                    walk = tree_path_vertices(t, meta.centers[0], v)
+                    assert meta.branch[v] == walk[min(1, len(walk) - 1)]
+                else:
+                    c0, c1 = meta.centers
+                    near = c1 if c1 in tree_path_vertices(t, c0, v) else c0
+                    assert meta.branch[v] == near
+        assert parities == {0, 1}
+
+    def test_distinguished_are_branches_of_deep_vertices(self):
+        hits = 0
+        for i in range(40):
+            t = pruefer_random(10, f"branch-deep:{i}")
+            meta = tree_meta(t)
+            if meta.diameter % 2 == 1:
                 continue
-            part = partition_vertices(t, meta)
-            union = set()
-            total = 0
-            for p in part.parts:
-                union |= p
-                total += len(p)
-            assert union == set(range(t.n))
-            assert total == t.n
-
-    def test_below_minimum_diameter_rejected(self):
-        t = star(5)
-        meta = tree_meta(t)
-        with pytest.raises(ValueError):
-            partition_vertices(t, meta)
-
-    def test_even_partition_mid_classes_contain_branch_roots(self):
-        t = path(9)
-        meta = tree_meta(t)
-        part = partition_vertices(t, meta)
-        l = meta.distinguished_count
-        roots = sorted(meta.distinguished)
-        for i, root in enumerate(roots):
-            assert root in part.parts[l + i]
+            deep = {meta.branch[w] for w in range(t.n) if meta.ecc[w] == meta.diameter}
+            assert meta.distinguished == deep
+            # each distinguished vertex keys its own branch
+            assert all(meta.branch[v] == v for v in meta.distinguished)
+            hits += 1
+        assert hits > 0
 
 
 class TestDiametricalPairing:
