@@ -2,6 +2,9 @@
 
 Each check returns a Verdict pairing the predicted value with the computed
 one. Integer claims use exact equality; float claims use FLOAT_TOL.
+A per-tree check takes one TreeFacts, which only exists for trees with
+n >= 2; checks that need more (n >= 4, diameter >= 3, odd diameter) raise
+ValueError on a tree outside their hypothesis.
 """
 
 from __future__ import annotations
@@ -80,13 +83,17 @@ def _verdict(theorem_id, instance, expected, computed, passed, detail=""):
 class TreeFacts:
     """Lazily computed quantities for one tree, shared across checks.
 
-    The matrix keeps its one fraction-free elimination (SymMatrix.pivots):
-    the characteristic polynomial and the rank check both read it.
+    The tree must have n >= 2 vertices (ValueError otherwise): the paper's
+    results are about trees with at least one edge. The matrix keeps its
+    one fraction-free elimination (SymMatrix.pivots): the characteristic
+    polynomial and the rank check both read it.
     corrupt=True bumps one off-diagonal entry pair of the eccentricity
     matrix by 1; it exists solely as a negative-control hook.
     """
 
     def __init__(self, tree: Tree, label: str | None = None, corrupt: bool = False):
+        if tree.n < 2:
+            raise ValueError(f"TreeFacts requires n >= 2, got n = {tree.n}")
         self.tree = tree
         self.label = label if label is not None else f"tree:n={tree.n}"
         self.corrupt = corrupt
@@ -127,14 +134,6 @@ class TreeFacts:
         return canonical_key(self.tree) == _extremal_key(self.tree.n)
 
 
-def _facts(t: Tree, facts: TreeFacts | None) -> TreeFacts:
-    if facts is None:
-        return TreeFacts(t)
-    if facts.tree is not t:
-        raise ValueError("facts were built for a different tree")
-    return facts
-
-
 def _predicted_inertia(f: TreeFacts) -> Inertia:
     """The inertia the paper proves for a tree's eccentricity matrix."""
     n = f.tree.n
@@ -147,33 +146,26 @@ def _predicted_inertia(f: TreeFacts) -> Inertia:
     return Inertia(l, l, n - 2 * l)
 
 
-def check_inertia(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_inertia(f: TreeFacts) -> Verdict:
     """Inertia is (1,n-1,0) for stars, (2,2,n-4) for odd diameter >= 3,
     (l,l,n-2l) for even diameter >= 4."""
-    f = _facts(t, facts)
-    if t.n < 2:
-        raise ValueError("check_inertia requires n >= 2")
     expected = _predicted_inertia(f)
     computed = f.inertia
     return _verdict("tree-inertia", f.label, expected, computed, expected == computed)
 
 
-def check_rank(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_rank(f: TreeFacts) -> Verdict:
     """Rank is n minus the predicted nullity: n for stars, 4 for odd
     diameter >= 3, 2l for even diameter >= 4."""
-    f = _facts(t, facts)
-    expected = t.n - _predicted_inertia(f).n_zero
+    expected = f.tree.n - _predicted_inertia(f).n_zero
     # the elimination's rank, not n minus the polynomial's zero roots
     computed = rank_exact(f.matrix)
     return _verdict("tree-rank", f.label, expected, computed, expected == computed)
 
 
-def check_symmetry(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_symmetry(f: TreeFacts) -> Verdict:
     """The spectrum is symmetric about 0 exactly for odd diameter; even
     diameter must instead show a consecutive nonzero coefficient pair."""
-    f = _facts(t, facts)
-    if t.n < 2:
-        raise ValueError("check_symmetry requires n >= 2")
     odd = f.meta.diameter % 2 == 1
     symmetric = spectrum_symmetric_exact(f.poly)
     if odd:
@@ -190,11 +182,10 @@ def check_symmetry(t: Tree, facts: TreeFacts | None = None) -> Verdict:
     return _verdict("spectrum-symmetry", f.label, expected, computed, passed)
 
 
-def check_distinct_counts(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_distinct_counts(f: TreeFacts) -> Verdict:
     """Distinct eigenvalue count: 3 for stars, 4 for the odd-diameter tree
     on 4 vertices, 5 for odd diameter with n >= 5, >= 4 otherwise."""
-    f = _facts(t, facts)
-    n = t.n
+    n = f.tree.n
     if n < 4:
         raise ValueError("check_distinct_counts requires n >= 4")
     diam = f.meta.diameter
@@ -218,8 +209,7 @@ def check_star_spectrum(n: int) -> Verdict:
         raise ValueError("check_star_spectrum requires n >= 3")
     s = math.sqrt(n * n - 3 * n + 3)
     expected = [n - 2 + s, n - 2 - s] + [-2.0] * (n - 2)
-    facts = TreeFacts(star(n), f"star:{n}")
-    computed = facts.eigenvalues
+    computed = TreeFacts(star(n), f"star:{n}").eigenvalues
     err = max(abs(a - b) for a, b in zip(expected, computed))
     passed = err <= FLOAT_TOL
     return _verdict(
@@ -284,20 +274,18 @@ def _bound_verdict(f: TreeFacts, theorem_id: str, sign: int) -> Verdict:
     return _verdict(theorem_id, f.label, expected, value, passed, detail)
 
 
-def check_radius_bound(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_radius_bound(f: TreeFacts) -> Verdict:
     """Largest eigenvalue is >= min_radius_bound(n), with equality required
     when the tree is isomorphic to the extremal family member."""
-    f = _facts(t, facts)
-    if t.n < 4:
+    if f.tree.n < 4:
         raise ValueError("check_radius_bound requires n >= 4")
     return _bound_verdict(f, "radius-lower-bound", 1)
 
 
-def check_least_eigenvalue_bound(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_least_eigenvalue_bound(f: TreeFacts) -> Verdict:
     """Least eigenvalue is <= -min_radius_bound(n) for odd diameter, with
     equality on the extremal family; even diameter is outside the hypothesis."""
-    f = _facts(t, facts)
-    if t.n < 4:
+    if f.tree.n < 4:
         raise ValueError("check_least_eigenvalue_bound requires n >= 4")
     if f.meta.diameter % 2 == 0:
         raise ValueError("check_least_eigenvalue_bound requires odd diameter")
@@ -385,12 +373,11 @@ def check_core_minor_sums(d: int, l: int) -> Verdict:
     )
 
 
-def check_block_structure(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_block_structure(f: TreeFacts) -> Verdict:
     """Every entry of the eccentricity matrix has its block-form value, by
     one rule for both diameter parities: the entry of u and v is
     min(ecc u, ecc v) when they lie in different branches (TreeMeta.branch)
     and one of them is peripheral (ecc = diameter), else 0."""
-    f = _facts(t, facts)
     diam = f.meta.diameter
     if diam < 3:
         raise ValueError("check_block_structure requires diameter >= 3")
@@ -399,8 +386,9 @@ def check_block_structure(t: Tree, facts: TreeFacts | None = None) -> Verdict:
     rows = f.matrix.rows
     mismatches = 0
     first = ""
-    for u in range(t.n):
-        for v in range(u + 1, t.n):
+    n = f.tree.n
+    for u in range(n):
+        for v in range(u + 1, n):
             if branch[u] != branch[v] and diam in (ecc[u], ecc[v]):
                 want = min(ecc[u], ecc[v])
             else:
@@ -449,9 +437,8 @@ def check_diametrical(g: Graph, label: str | None = None) -> Verdict:
     )
 
 
-def check_inertia_float_agreement(t: Tree, facts: TreeFacts | None = None) -> Verdict:
+def check_inertia_float_agreement(f: TreeFacts) -> Verdict:
     """Float inertia under the default zero band equals the exact inertia."""
-    f = _facts(t, facts)
     exact = f.inertia
     approx = inertia_float(f.eigenvalues, default_zero_tol(f.matrix))
     return _verdict(
@@ -487,22 +474,18 @@ def check_odd_core_eigenvalues(d: int) -> Verdict:
     )
 
 
-def tree_checks(facts: TreeFacts) -> list:
+def tree_checks(f: TreeFacts) -> list:
     """All predicates applicable to one tree, in a fixed order."""
-    t = facts.tree
-    n = t.n
-    verdicts = [
-        check_inertia(t, facts),
-        check_rank(t, facts),
-        check_symmetry(t, facts),
-    ]
+    n = f.tree.n
+    diam = f.meta.diameter
+    verdicts = [check_inertia(f), check_rank(f), check_symmetry(f)]
     if n >= 4:
-        verdicts.append(check_distinct_counts(t, facts))
-    if facts.meta.diameter >= 3:
-        verdicts.append(check_block_structure(t, facts))
+        verdicts.append(check_distinct_counts(f))
+    if diam >= 3:
+        verdicts.append(check_block_structure(f))
     if n >= 4:
-        verdicts.append(check_radius_bound(t, facts))
-        if facts.meta.diameter % 2 == 1:
-            verdicts.append(check_least_eigenvalue_bound(t, facts))
-    verdicts.append(check_inertia_float_agreement(t, facts))
+        verdicts.append(check_radius_bound(f))
+        if diam % 2 == 1:
+            verdicts.append(check_least_eigenvalue_bound(f))
+    verdicts.append(check_inertia_float_agreement(f))
     return verdicts

@@ -248,8 +248,8 @@ def _fixed_battery():
 
 
 class _VerdictSink:
-    """Writes each verdict line as it is produced; the batch stops at the
-    first failure."""
+    """Writes each verdict line as it is produced; cmd_verify stops the
+    batch at the first failure."""
 
     def __init__(self, fmt: str, header: dict, out):
         self.out = out
@@ -278,20 +278,41 @@ class _VerdictSink:
                     verdict.detail,
                 ]
             )
-        if not verdict.passed and self.failed is None:
+        if not verdict.passed:
             self.failed = verdict
             self.failed_serialization = to_edge_list(graph) if graph is not None else verdict.instance
         return verdict.passed
 
 
+def _range_verdicts(args):
+    """Yield the (verdict, graph) pairs of a range run in order: the fixed
+    battery, the star spectra, then each tree's checks."""
+    for verdict in _fixed_battery():
+        yield verdict, None
+    for n in range(max(args.n_from, 3), args.n_to + 1):
+        yield check_star_spectrum(n), None
+    for label, t in _range_instances(args):
+        for verdict in tree_checks(TreeFacts(t, label, corrupt=args.corrupt)):
+            yield verdict, t
+
+
 def cmd_verify(args) -> int:
     _validate_range(args)
     single = args.family or args.input
-    ranged = args.n_from is not None
-    if bool(single) == ranged:
+    if bool(single) == (args.n_from is not None):
         raise ValueError("verify needs either --family/--input or --n-from/--n-to")
     if single:
+        # The one instance is checked before the header is written, so input
+        # that no check accepts (n < 2, a graph that is neither a tree nor
+        # diametrical) exits 2 with nothing on stdout.
         g, label = _load_graph(args)
+        t = _as_tree(g)
+        if t is not None:
+            pairs = [(v, t) for v in tree_checks(TreeFacts(t, label, corrupt=args.corrupt))]
+        else:
+            pairs = [(check_diametrical(g, label), g)]
+    else:
+        pairs = _range_verdicts(args)
 
     header = {
         "version": __version__,
@@ -303,31 +324,9 @@ def cmd_verify(args) -> int:
     }
     with _open_output(args.output) as out:
         sink = _VerdictSink(args.format, header, out)
-        if single:
-            t = _as_tree(g)
-            if t is not None:
-                facts = TreeFacts(t, label, corrupt=args.corrupt)
-                for verdict in tree_checks(facts):
-                    if not sink.add(verdict, t):
-                        break
-            else:
-                sink.add(check_diametrical(g, label), g)
-        else:
-            for verdict in _fixed_battery():
-                if not sink.add(verdict):
-                    break
-            if sink.failed is None:
-                for n in range(args.n_from, args.n_to + 1):
-                    if n >= 3 and not sink.add(check_star_spectrum(n)):
-                        break
-            if sink.failed is None:
-                for label, t in _range_instances(args):
-                    facts = TreeFacts(t, label, corrupt=args.corrupt)
-                    for verdict in tree_checks(facts):
-                        if not sink.add(verdict, t):
-                            break
-                    if sink.failed is not None:
-                        break
+        for verdict, graph in pairs:
+            if not sink.add(verdict, graph):
+                break
 
     if sink.failed is not None:
         sys.stderr.write(f"FAILED {sink.failed.theorem_id} on {sink.failed.instance}\n")

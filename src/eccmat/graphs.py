@@ -129,10 +129,8 @@ class TreeMeta:
     distinguished_count: int | None
 
 
-def tree_meta(t: Tree, dist: SymMatrix | None = None) -> TreeMeta:
+def tree_meta(t: Tree, dist: SymMatrix) -> TreeMeta:
     """Compute eccentricities, centers, branches and distinguished vertices."""
-    if dist is None:
-        dist = distance_matrix(t)
     ecc = tuple(max(row) for row in dist.rows)
     diameter = max(ecc)
     radius = min(ecc)
@@ -167,11 +165,9 @@ def tree_meta(t: Tree, dist: SymMatrix | None = None) -> TreeMeta:
     return TreeMeta(ecc, diameter, centers, tuple(branch), distinguished, len(distinguished))
 
 
-def diametrical_pairing(g: Graph, dist: SymMatrix | None = None):
+def diametrical_pairing(g: Graph, dist: SymMatrix):
     """The involution pairing each vertex with its unique diametral partner,
     or None when some vertex has zero or several partners."""
-    if dist is None:
-        dist = distance_matrix(g)
     diameter = max(max(row) for row in dist.rows)
     pairing = {}
     for v in range(g.n):

@@ -7,16 +7,9 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from eccmat import (
-    CharPoly,
-    Graph,
-    SymMatrix,
-    Tree,
-    bareiss_det,
-    char_poly,
-    inertia_exact,
-    schur_complement,
-)
+from eccmat.exact import CharPoly, char_poly, inertia_exact
+from eccmat.graphs import Graph, Tree
+from eccmat.matrices import SymMatrix, bareiss_det, schur_complement
 
 
 def pruefer_encode(t: Tree):

@@ -5,32 +5,24 @@ line straight to the terminal (capture suspended) before asserting, so a
 run always yields exactly one status line per criterion.
 """
 
-import math
 import sys
 
 import pytest
 
-from eccmat import (
-    FLOAT_TOL,
+from eccmat import exact
+from eccmat.checks import (
     TreeFacts,
-    char_poly,
     check_core_minor_sums,
     check_diametrical,
     check_odd_core_eigenvalues,
     check_pair_block_inertia,
     check_star_spectrum,
-    deep_mid_block,
-    distance_matrix,
-    eccentricity_matrix,
-    eigenvalues_sym,
-    even_diameter_core,
-    exact,
     min_radius_bound,
     min_radius_tree,
-    odd_diameter_core,
     tree_checks,
 )
 from eccmat.cli import main as cli_main
+from eccmat.exact import char_poly
 from eccmat.families import (
     canonical_key,
     diametrical_examples,
@@ -40,6 +32,14 @@ from eccmat.families import (
     spider,
     star,
 )
+from eccmat.graphs import distance_matrix
+from eccmat.matrices import (
+    deep_mid_block,
+    eccentricity_matrix,
+    even_diameter_core,
+    odd_diameter_core,
+)
+from eccmat.spectra import eigenvalues_sym
 
 from _oracles import char_poly_leverrier, principal_minor_sum
 

@@ -1,10 +1,9 @@
 import json
-import math
 import random
 
 import pytest
 
-from eccmat import (
+from eccmat.checks import (
     FLOAT_TOL,
     TreeFacts,
     Verdict,
@@ -53,8 +52,7 @@ class TestVerdictType:
         assert data["pass"] is True
 
     def test_failure_gets_default_detail(self):
-        t = path(4)
-        v = check_inertia(t, TreeFacts(t, corrupt=True))
+        v = check_inertia(TreeFacts(path(4), corrupt=True))
         if not v.passed:
             assert v.detail
 
@@ -71,73 +69,73 @@ class TestInertiaCheck:
         ],
     )
     def test_passes(self, tree, label):
-        v = check_inertia(tree)
+        v = check_inertia(TreeFacts(tree))
         assert v.passed, v.detail
 
     def test_expected_triples(self):
-        assert tuple(check_inertia(star(6)).expected) == (1, 5, 0)
-        assert tuple(check_inertia(path(4)).expected) == (2, 2, 0)
-        assert tuple(check_inertia(spider(3, 2)).expected) == (3, 3, 1)
-        assert tuple(check_inertia(path(7)).expected) == (2, 2, 3)
+        assert tuple(check_inertia(TreeFacts(star(6))).expected) == (1, 5, 0)
+        assert tuple(check_inertia(TreeFacts(path(4))).expected) == (2, 2, 0)
+        assert tuple(check_inertia(TreeFacts(spider(3, 2))).expected) == (3, 3, 1)
+        assert tuple(check_inertia(TreeFacts(path(7))).expected) == (2, 2, 3)
 
     def test_theorem_id(self):
-        assert check_inertia(path(4)).theorem_id == "tree-inertia"
+        assert check_inertia(TreeFacts(path(4))).theorem_id == "tree-inertia"
 
 
 class TestRankCheck:
     def test_known_ranks(self):
-        assert check_rank(path(6)).expected == 4
-        assert check_rank(path(5)).expected == 4
-        assert check_rank(star(7)).expected == 7
-        assert check_rank(spider(3, 2)).expected == 6
+        assert check_rank(TreeFacts(path(6))).expected == 4
+        assert check_rank(TreeFacts(path(5))).expected == 4
+        assert check_rank(TreeFacts(star(7))).expected == 7
+        assert check_rank(TreeFacts(spider(3, 2))).expected == 6
         for t in (path(6), path(5), star(7), spider(3, 2)):
-            assert check_rank(t).passed
+            assert check_rank(TreeFacts(t)).passed
 
     def test_random_trees(self):
         for i in range(15):
             t = pruefer_random(9, f"rank:{i}")
-            v = check_rank(t)
+            v = check_rank(TreeFacts(t))
             assert v.passed, v.detail
 
 
 class TestSymmetryCheck:
     def test_odd_diameter_symmetric(self):
         for t in (path(4), path(6), center_pendant_tree(8, 3, 1, 3)):
-            v = check_symmetry(t)
+            v = check_symmetry(TreeFacts(t))
             assert v.passed and v.computed["symmetric"]
 
     def test_even_diameter_not_symmetric(self):
         for t in (star(5), spider(3, 2), path(5)):
-            v = check_symmetry(t)
+            v = check_symmetry(TreeFacts(t))
             assert v.passed, v.detail
             assert not v.computed["symmetric"]
 
     def test_theorem_id(self):
-        assert check_symmetry(path(4)).theorem_id == "spectrum-symmetry"
+        assert check_symmetry(TreeFacts(path(4))).theorem_id == "spectrum-symmetry"
 
 
 class TestDistinctCountCheck:
     def test_star_has_three(self):
-        v = check_distinct_counts(star(9))
+        v = check_distinct_counts(TreeFacts(star(9)))
         assert v.passed and v.computed == 3
 
     def test_p4_has_four(self):
-        v = check_distinct_counts(path(4))
+        v = check_distinct_counts(TreeFacts(path(4)))
         assert v.passed and v.computed == 4
 
     def test_longer_odd_diameter_has_five(self):
         for t in (path(6), path(10), center_pendant_tree(9, 5, 1, 2)):
-            v = check_distinct_counts(t)
+            v = check_distinct_counts(TreeFacts(t))
             assert v.passed, v.detail
             assert v.computed == 5
 
     def test_even_diameter_at_least_four(self):
-        v = check_distinct_counts(spider(3, 2))
+        v = check_distinct_counts(TreeFacts(spider(3, 2)))
         assert v.passed and v.computed >= 4
 
     def test_small_orders_rejected(self):
         with pytest.raises(ValueError):
-            check_distinct_counts(path(3))
+            check_distinct_counts(TreeFacts(path(3)))
 
 
 class TestStarSpectrumCheck:
@@ -173,7 +171,7 @@ class TestRadiusBound:
     @pytest.mark.parametrize("n", [4, 7, 10, 15, 16, 17, 20])
     def test_extremal_equality(self, n):
         t = min_radius_tree(n)
-        v = check_radius_bound(t)
+        v = check_radius_bound(TreeFacts(t))
         assert v.passed, v.detail
         assert "equality required" in v.detail
 
@@ -182,36 +180,36 @@ class TestRadiusBound:
         perm = list(range(10))
         random.Random(3).shuffle(perm)
         relabeled = Tree(10, [(perm[u], perm[v]) for u, v in t.edges()])
-        v = check_radius_bound(relabeled)
+        v = check_radius_bound(TreeFacts(relabeled))
         assert v.passed and "equality required" in v.detail
 
     def test_generic_tree_strictly_above(self):
         for i in range(10):
             t = pruefer_random(12, f"rb:{i}")
-            v = check_radius_bound(t)
+            v = check_radius_bound(TreeFacts(t))
             assert v.passed, v.detail
 
     def test_small_orders_rejected(self):
         with pytest.raises(ValueError):
-            check_radius_bound(path(3))
+            check_radius_bound(TreeFacts(path(3)))
 
 
 class TestLeastEigenvalueBound:
     def test_extremal_equality(self):
         for n in (9, 18):
-            v = check_least_eigenvalue_bound(min_radius_tree(n))
+            v = check_least_eigenvalue_bound(TreeFacts(min_radius_tree(n)))
             assert v.passed, v.detail
             assert "equality required" in v.detail
 
     def test_generic_odd_tree(self):
-        v = check_least_eigenvalue_bound(path(8))
+        v = check_least_eigenvalue_bound(TreeFacts(path(8)))
         assert v.passed, v.detail
 
     def test_even_diameter_rejected(self):
         with pytest.raises(ValueError, match="odd diameter"):
-            check_least_eigenvalue_bound(spider(3, 2))
+            check_least_eigenvalue_bound(TreeFacts(spider(3, 2)))
         with pytest.raises(ValueError, match="odd diameter"):
-            check_least_eigenvalue_bound(star(5))
+            check_least_eigenvalue_bound(TreeFacts(star(5)))
 
 
 class TestPairBlockInertia:
@@ -262,7 +260,7 @@ class TestBlockStructure:
         "tree", [path(4), path(6), path(5), spider(3, 2), center_pendant_tree(9, 3, 2, 3)]
     )
     def test_passes(self, tree):
-        v = check_block_structure(tree)
+        v = check_block_structure(TreeFacts(tree))
         assert v.passed, v.detail
 
     def test_random_trees_both_parities(self):
@@ -273,30 +271,27 @@ class TestBlockStructure:
             if facts.meta.diameter < 3:
                 continue
             seen.add(facts.meta.diameter % 2)
-            v = check_block_structure(t, facts)
+            v = check_block_structure(facts)
             assert v.passed, v.detail
         assert seen == {0, 1}
 
     def test_small_diameter_rejected(self):
         with pytest.raises(ValueError):
-            check_block_structure(star(5))
+            check_block_structure(TreeFacts(star(5)))
 
     def test_corruption_caught(self):
-        t = path(4)
-        facts = TreeFacts(t, corrupt=True)
-        v = check_block_structure(t, facts)
+        v = check_block_structure(TreeFacts(path(4), corrupt=True))
         assert not v.passed
         assert v.detail
 
     def test_same_side_entry_counted_once(self):
         # 0 and 1 lie on the same side of path(6)'s central edge
-        t = path(6)
-        facts = TreeFacts(t)
+        facts = TreeFacts(path(6))
         rows = [list(r) for r in facts.matrix.rows]
         rows[0][1] += 1
         rows[1][0] += 1
         facts.matrix = SymMatrix(rows)
-        v = check_block_structure(t, facts)
+        v = check_block_structure(facts)
         assert v.computed == {"mismatches": 1}
         assert v.detail == "entry (0,1) = 1, predicted 0"
 
@@ -320,13 +315,13 @@ class TestDiametrical:
 class TestFloatAgreement:
     def test_examples(self):
         for t in (path(2), path(6), star(6), spider(3, 2)):
-            v = check_inertia_float_agreement(t)
+            v = check_inertia_float_agreement(TreeFacts(t))
             assert v.passed, v.detail
 
     def test_random_trees(self):
         for i in range(10):
             t = pruefer_random(10, f"fa:{i}")
-            assert check_inertia_float_agreement(t).passed
+            assert check_inertia_float_agreement(TreeFacts(t)).passed
 
 
 class TestOddCoreEigenvalues:
@@ -382,9 +377,25 @@ class TestTreeChecks:
         outcomes = [v.passed for v in tree_checks(facts)]
         assert not all(outcomes)
 
-    def test_facts_must_match_tree(self):
-        with pytest.raises(ValueError, match="different tree"):
-            check_inertia(path(4), TreeFacts(path(5)))
+
+class TestTreeFacts:
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_inertia,
+            check_rank,
+            check_symmetry,
+            check_distinct_counts,
+            check_block_structure,
+            check_radius_bound,
+            check_least_eigenvalue_bound,
+            check_inertia_float_agreement,
+            tree_checks,
+        ],
+    )
+    def test_single_vertex_rejected(self, check):
+        with pytest.raises(ValueError, match="n >= 2"):
+            check(TreeFacts(path(1)))
 
 
 class TestExtremalBoundConsistency:

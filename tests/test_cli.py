@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import eccmat.cli
-from eccmat import MAX_ORDER, __version__
+from eccmat import __version__
 from eccmat.cli import main
 from eccmat.families import path
+from eccmat.graphs import MAX_ORDER
 
 from _oracles import graph6_order, to_graph6
 
@@ -246,8 +247,18 @@ class TestVerifyCommand:
         assert verdicts[0]["pass"]
 
     def test_non_diametrical_graph_errors(self, capsys):
-        code, _, err = run(capsys, "verify", "--family", "cycle:5")
-        assert code == 2 and "error:" in err
+        code, out, err = run(capsys, "verify", "--family", "cycle:5")
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("source", ["family", "input"])
+    def test_single_vertex_writes_nothing(self, capsys, tmp_path, source):
+        target = tmp_path / "k1.txt"
+        target.write_text("1 0\n")
+        argv = ("--family", "path:1") if source == "family" else ("--input", str(target))
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
     def test_range_small(self, capsys):
         code, out, err = run(capsys, "verify", "--n-from", "2", "--n-to", "4")

@@ -2,24 +2,22 @@ import random
 
 import pytest
 
-from eccmat import (
+from eccmat import exact
+from eccmat.checks import TreeFacts
+from eccmat.exact import (
     CharPoly,
     Inertia,
-    SymMatrix,
-    TreeFacts,
-    bareiss_det,
     char_poly,
     consecutive_nonzero_witness,
-    distance_matrix,
     distinct_count_exact,
-    eccentricity_matrix,
-    exact,
     inertia_exact,
     poly_gcd,
     rank_exact,
     spectrum_symmetric_exact,
 )
 from eccmat.families import path, pruefer_random, star
+from eccmat.graphs import distance_matrix
+from eccmat.matrices import SymMatrix, bareiss_det, eccentricity_matrix
 
 from _oracles import (
     char_poly_by_minors,
@@ -277,7 +275,7 @@ class TestDistinctCount:
         import math
 
         rng = random.Random(47)
-        from eccmat import eigenvalues_sym
+        from eccmat.spectra import eigenvalues_sym
 
         checked = 0
         for _ in range(25):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eccmat import Graph, Tree, diametrical_pairing, distance_matrix, tree_meta
+from eccmat.graphs import Graph, Tree, diametrical_pairing, distance_matrix, tree_meta
 from eccmat.families import (
     ENUMERATION_LIMIT,
     canonical_key,
@@ -65,7 +65,8 @@ class TestCenterPendantTree:
         for d in (3, 5, 7):
             for a, b in ((0, 2), (1, 1), (2, 5)):
                 n = d + 1 + a + b
-                meta = tree_meta(center_pendant_tree(n, d, a, b))
+                t = center_pendant_tree(n, d, a, b)
+                meta = tree_meta(t, distance_matrix(t))
                 assert meta.diameter == d
 
     @pytest.mark.parametrize(
@@ -88,7 +89,7 @@ class TestSpider:
         t = spider(3, 2)
         assert t.n == 7
         assert t.degree(0) == 3
-        meta = tree_meta(t)
+        meta = tree_meta(t, distance_matrix(t))
         assert meta.diameter == 4
         assert meta.distinguished_count == 3
 
@@ -210,7 +211,7 @@ class TestFixedGraphs:
         gs = diametrical_examples()
         assert len(gs) == 4
         for g in gs:
-            assert diametrical_pairing(g) is not None
+            assert diametrical_pairing(g, distance_matrix(g)) is not None
 
 
 class TestParseFamily:
@@ -259,7 +260,7 @@ class TestParseFamily:
             parse_family("path:x")
 
     def test_order_cap(self):
-        from eccmat import MAX_ORDER
+        from eccmat.graphs import MAX_ORDER
 
         assert parse_family("hypercube:6").n == 64
         for token in ("hypercube:20", "hypercube:1000000", f"path:{MAX_ORDER + 1}",

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from eccmat import (
+from eccmat.graphs import (
     MAX_ORDER,
     Graph,
     Tree,
@@ -95,21 +95,24 @@ class TestDistances:
 
 class TestTreeMeta:
     def test_path_odd_diameter_two_adjacent_centers(self):
-        meta = tree_meta(path(6))
+        t = path(6)
+        meta = tree_meta(t, distance_matrix(t))
         assert meta.diameter == 5
         assert meta.centers == (2, 3)
         assert meta.distinguished_count is None
         assert meta.distinguished == frozenset()
 
     def test_path_even_diameter_single_center(self):
-        meta = tree_meta(path(5))
+        t = path(5)
+        meta = tree_meta(t, distance_matrix(t))
         assert meta.diameter == 4
         assert meta.centers == (2,)
         assert meta.distinguished == {1, 3}
         assert meta.distinguished_count == 2
 
     def test_star_center_and_no_distinguished(self):
-        meta = tree_meta(star(7))
+        t = star(7)
+        meta = tree_meta(t, distance_matrix(t))
         assert meta.diameter == 2
         assert meta.centers == (0,)
         # with diameter 2 every leaf lies on a longest path
@@ -125,7 +128,7 @@ class TestTreeMeta:
     def test_distinguished_equals_longest_path_neighbors(self):
         count = 0
         for t in enumerate_labeled_trees(7):
-            meta = tree_meta(t)
+            meta = tree_meta(t, distance_matrix(t))
             if meta.diameter % 2 == 0 and meta.diameter >= 4:
                 assert meta.distinguished == distinguished_by_paths(t)
                 count += 1
@@ -135,7 +138,7 @@ class TestTreeMeta:
         hits = 0
         for i in range(60):
             t = pruefer_random(11, f"disting:{i}")
-            meta = tree_meta(t)
+            meta = tree_meta(t, distance_matrix(t))
             if meta.diameter % 2 == 0:
                 assert meta.distinguished == distinguished_by_paths(t)
                 hits += 1
@@ -145,17 +148,19 @@ class TestTreeMeta:
 class TestBranch:
     def test_odd_branch_shape(self):
         # each half of the path is keyed by its nearer center
-        assert tree_meta(path(6)).branch == (2, 2, 2, 3, 3, 3)
+        t = path(6)
+        assert tree_meta(t, distance_matrix(t)).branch == (2, 2, 2, 3, 3, 3)
 
     def test_even_branch_shape(self):
         # the center keys itself, the rest by the center's neighbor
-        assert tree_meta(path(5)).branch == (1, 1, 2, 3, 3)
+        t = path(5)
+        assert tree_meta(t, distance_matrix(t)).branch == (1, 1, 2, 3, 3)
 
     def test_key_is_center_or_on_path_from_center(self):
         parities = set()
         for i in range(40):
             t = pruefer_random(10, f"branch:{i}")
-            meta = tree_meta(t)
+            meta = tree_meta(t, distance_matrix(t))
             parities.add(meta.diameter % 2)
             for v in range(t.n):
                 if len(meta.centers) == 1:
@@ -171,7 +176,7 @@ class TestBranch:
         hits = 0
         for i in range(40):
             t = pruefer_random(10, f"branch-deep:{i}")
-            meta = tree_meta(t)
+            meta = tree_meta(t, distance_matrix(t))
             if meta.diameter % 2 == 1:
                 continue
             deep = {meta.branch[w] for w in range(t.n) if meta.ecc[w] == meta.diameter}
@@ -185,19 +190,21 @@ class TestBranch:
 class TestDiametricalPairing:
     @pytest.mark.parametrize("g,expect_diam", [(cycle(4), 2), (cycle(6), 3), (hypercube(3), 3), (cocktail_party(3), 2)])
     def test_examples_have_involutive_pairing(self, g, expect_diam):
-        pairing = diametrical_pairing(g)
-        assert pairing is not None
         dist = distance_matrix(g)
+        pairing = diametrical_pairing(g, dist)
+        assert pairing is not None
         assert max(max(r) for r in dist.rows) == expect_diam
         for v, w in pairing.items():
             assert pairing[w] == v
             assert dist.rows[v][w] == expect_diam
 
     def test_path_has_no_pairing(self):
-        assert diametrical_pairing(path(4)) is None
+        t = path(4)
+        assert diametrical_pairing(t, distance_matrix(t)) is None
 
     def test_odd_cycle_has_no_pairing(self):
-        assert diametrical_pairing(cycle(5)) is None
+        g = cycle(5)
+        assert diametrical_pairing(g, distance_matrix(g)) is None
 
 
 class TestEdgeListFormat:

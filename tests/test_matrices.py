@@ -3,17 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from eccmat import (
+from eccmat.families import cycle, path, pruefer_random, star
+from eccmat.graphs import distance_matrix
+from eccmat.matrices import (
     SymMatrix,
     bareiss_det,
     deep_mid_block,
-    distance_matrix,
     eccentricity_matrix,
     even_diameter_core,
     odd_diameter_core,
     schur_complement,
 )
-from eccmat.families import cycle, path, pruefer_random, star
 
 from _oracles import (
     ecc_entries_by_definition,

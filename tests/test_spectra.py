@@ -4,18 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from eccmat import (
-    SymMatrix,
+from eccmat.checks import TreeFacts
+from eccmat.families import path, pruefer_random, star
+from eccmat.matrices import SymMatrix
+from eccmat.spectra import (
     JacobiConvergenceError,
     Spectrum,
-    TreeFacts,
     default_group_tol,
     default_zero_tol,
     eigenvalues_sym,
     group_spectrum,
     inertia_float,
 )
-from eccmat.families import path, pruefer_random, star
 
 from _oracles import random_symmetric
 
