@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import sys
 
@@ -32,12 +31,7 @@ from .families import (
 )
 from .graphs import MAX_ORDER, Graph, Tree, distance_matrix, read_graph, to_edge_list
 from .matrices import eccentricity_matrix
-from .spectra import (
-    DEFAULT_EIGEN_TOL,
-    default_group_tol,
-    eigenvalues_sym,
-    group_spectrum,
-)
+from .spectra import default_group_tol, eigenvalues_sym, group_spectrum
 
 DEFAULT_SAMPLES = 500
 EXHAUSTIVE_LIMIT = 8
@@ -81,15 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p_report = sub.add_parser(name, help=help_text)
         add_source(p_report)
-        if name == "spectrum":
-            p_report.add_argument(
-                "--tol", type=float, default=DEFAULT_EIGEN_TOL,
-                help="eigensolver convergence threshold",
-            )
-            p_report.add_argument(
-                "--group-tol", type=float, default=None,
-                help="eigenvalue grouping threshold (default scales with the matrix)",
-            )
         add_output(p_report)
         p_report.add_argument("--dump-matrix", action="store_true", help="also print the eccentricity matrix")
 
@@ -136,18 +121,13 @@ def _open_output(output: str | None):
     return contextlib.nullcontext(sys.stdout)
 
 
-def _emit(text: str, output: str | None) -> None:
-    with _open_output(output) as out:
-        out.write(text)
-
-
-def _kv_csv(pairs) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    for key, value in pairs:
-        writer.writerow([key, value if isinstance(value, str) else json.dumps(value)])
-    return buf.getvalue()
+def _emit(args, report: dict, csv_rows) -> None:
+    """Write report as indented JSON, or csv_rows as CSV, as --format asks."""
+    with _open_output(args.output) as out:
+        if args.format == "json":
+            out.write(json.dumps(report, indent=2) + "\n")
+        else:
+            csv.writer(out, lineterminator="\n").writerows(csv_rows)
 
 
 def _config(args, keys) -> dict:
@@ -158,26 +138,22 @@ def cmd_report(args) -> int:
     """spectrum: the full exact + float report; inertia: inertia and rank."""
     g, label = _load_graph(args)
     full = args.command == "spectrum"
-    if full and (args.tol <= 0 or (args.group_tol is not None and args.group_tol <= 0)):
-        raise ValueError("tolerances must be positive")
     matrix = eccentricity_matrix(distance_matrix(g))
     poly = char_poly(matrix)
     inertia = inertia_exact(poly)
     # reads the elimination char_poly ran, kept on the matrix
     rank = rank_exact(matrix)
-    tols = ("tol", "group-tol") if full else ()
     report = {
         "version": __version__,
-        "config": _config(args, ("command", "family", "input", *tols, "format")),
+        "config": _config(args, ("command", "family", "input", "format")),
         "instance": label,
         "n": g.n,
         # the diametral pairs keep their entries, so the largest is the diameter
         "diameter": matrix.max_abs(),
     }
     if full:
-        values = eigenvalues_sym(matrix, args.tol)
-        gtol = args.group_tol if args.group_tol is not None else default_group_tol(matrix)
-        spectrum = group_spectrum(values, gtol)
+        values = eigenvalues_sym(matrix)
+        spectrum = group_spectrum(values, default_group_tol(matrix))
         report.update({
             "char_poly": poly.to_json(),
             "inertia": list(inertia),
@@ -195,11 +171,12 @@ def cmd_report(args) -> int:
         report.update({"inertia": list(inertia), "rank": rank})
     if args.dump_matrix:
         report["matrix"] = [list(row) for row in matrix.rows]
-    if args.format == "json":
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        text = _kv_csv(report.items())
-    _emit(text, args.output)
+    # one "field,value" row per key; values other than strings as JSON
+    csv_rows = (
+        (key, value if isinstance(value, str) else json.dumps(value))
+        for key, value in [("field", "value"), *report.items()]
+    )
+    _emit(args, report, csv_rows)
     return 0
 
 
@@ -356,23 +333,16 @@ def cmd_sweep(args) -> int:
         }
         for (n, parity, inertia, distinct) in sorted(counts)
     ]
-    if args.format == "json":
-        report = {
-            "version": __version__,
-            "config": _config(args, ("command", "n-from", "n-to", "samples", "seed", "format")),
-            "rows": rows,
-        }
-        text = json.dumps(report, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "diameter_parity", "n_plus", "n_minus", "n_zero", "distinct_count", "count"])
-        for row in rows:
-            writer.writerow(
-                [row["n"], row["diameter_parity"], *row["inertia"], row["distinct_count"], row["count"]]
-            )
-        text = buf.getvalue()
-    _emit(text, args.output)
+    report = {
+        "version": __version__,
+        "config": _config(args, ("command", "n-from", "n-to", "samples", "seed", "format")),
+        "rows": rows,
+    }
+    csv_rows = [
+        ["n", "diameter_parity", "n_plus", "n_minus", "n_zero", "distinct_count", "count"],
+        *([r["n"], r["diameter_parity"], *r["inertia"], r["distinct_count"], r["count"]] for r in rows),
+    ]
+    _emit(args, report, csv_rows)
     return 0
 
 

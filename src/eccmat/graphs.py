@@ -186,13 +186,15 @@ def _data_lines(text: str):
 
 def read_graph(text: str) -> Graph:
     """Parse an edge list, or a graph6 line when the first data line is not
-    an "n m" header."""
+    an "n m" header; a graph6 input holds that one data line only."""
     lines = _data_lines(text)
     if not lines:
         raise ValueError("empty input")
     head = lines[0].split()
     if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
         return read_edge_list(text)
+    if len(lines) > 1:
+        raise ValueError(f"graph6 input must hold one graph; found {len(lines)} data lines")
     return read_graph6(lines[0])
 
 
@@ -235,7 +237,8 @@ def read_graph6(line: str) -> Graph:
     """Decode one graph6 line into a Graph.
 
     The order is one character up to 62; from 63 on it is "~" and three
-    characters (18 bits), or "~~" and six (36 bits), big-endian.
+    characters (18 bits), or "~~" and six (36 bits), big-endian. The body
+    that follows is exactly ceil(n(n-1)/12) characters.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -262,12 +265,13 @@ def read_graph6(line: str) -> Graph:
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
     need = n * (n - 1) // 2
+    body, want = len(data) - head, (need + 5) // 6
+    if body != want:
+        raise ValueError(f"graph6 body of order {n} has {body} characters; expected {want}")
     bits = []
     for b in data[head:]:
         for k in range(5, -1, -1):
             bits.append((b >> k) & 1)
-    if len(bits) < need:
-        raise ValueError("graph6 string too short")
     edges = []
     pos = 0
     for j in range(1, n):

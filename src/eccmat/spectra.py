@@ -1,6 +1,8 @@
 """Floating-point symmetric eigensolver and spectrum utilities.
 
-The eigensolver is a cyclic-by-row Jacobi iteration with a fixed sweep
+The eigensolver is a cyclic-by-row Jacobi iteration. Its two constants
+are the program's, not the caller's: `EIGEN_TOL`, the off-diagonal norm
+it stops at relative to the matrix norm, and `MAX_SWEEPS`, the sweep
 budget. It is deterministic for a fixed input, needs no external library,
 and at the matrix orders used here (well under a few hundred) it reaches
 off-diagonal norms near machine precision in a handful of sweeps.
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from .exact import Inertia
 from .matrices import SymMatrix
 
-DEFAULT_EIGEN_TOL = 1e-12
-DEFAULT_SWEEPS = 30
+EIGEN_TOL = 1e-12
+MAX_SWEEPS = 30
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -29,24 +31,16 @@ class JacobiConvergenceError(RuntimeError):
         self.off_norm = off_norm
 
 
-def eigenvalues_sym(m, tol: float = DEFAULT_EIGEN_TOL, max_sweeps: int = DEFAULT_SWEEPS):
-    """All eigenvalues of a symmetric matrix (a SymMatrix or a list of rows),
-    descending, by cyclic Jacobi."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = [[float(x) for x in row] for row in getattr(m, "rows", m)]
+def eigenvalues_sym(m: SymMatrix):
+    """All eigenvalues of a SymMatrix, descending, by cyclic Jacobi."""
+    a = [[float(x) for x in row] for row in m.rows]
     n = len(a)
-    if n == 1:
-        return [a[0][0]]
     norm = math.sqrt(sum(x * x for row in a for x in row))
-    if norm == 0.0:
-        return [0.0] * n
-    target = tol * norm
+    target = EIGEN_TOL * norm
     # Rotations on entries this small only churn roundoff.
     skip = 1e-18 * norm
     rng = range(n)
-    off = norm
-    for _ in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS + 1):
         off2 = 0.0
         for i in rng:
             ai = a[i]
@@ -55,6 +49,8 @@ def eigenvalues_sym(m, tol: float = DEFAULT_EIGEN_TOL, max_sweeps: int = DEFAULT
         off = math.sqrt(2.0 * off2)
         if off <= target:
             return sorted((a[i][i] for i in rng), reverse=True)
+        if sweep == MAX_SWEEPS:
+            raise JacobiConvergenceError(off, MAX_SWEEPS)
         for p in range(n - 1):
             ap = a[p]
             for q in range(p + 1, n):
@@ -82,15 +78,6 @@ def eigenvalues_sym(m, tol: float = DEFAULT_EIGEN_TOL, max_sweeps: int = DEFAULT
                     akq = aq[k]
                     ap[k] = c * akp - s * akq
                     aq[k] = s * akp + c * akq
-    off2 = 0.0
-    for i in rng:
-        ai = a[i]
-        for j in range(i + 1, n):
-            off2 += ai[j] * ai[j]
-    off = math.sqrt(2.0 * off2)
-    if off <= target:
-        return sorted((a[i][i] for i in rng), reverse=True)
-    raise JacobiConvergenceError(off, max_sweeps)
 
 
 @dataclass(frozen=True)

@@ -70,15 +70,11 @@ class TestSpectrumCommand:
         assert json.loads(target.read_text())["n"] == 5
 
     def test_config_echoes_arguments(self, capsys):
-        _, out, _ = run(capsys, "spectrum", "--family", "star:5", "--tol", "1e-10")
+        _, out, _ = run(capsys, "spectrum", "--family", "star:5")
         config = json.loads(out)["config"]
+        assert list(config) == ["command", "family", "input", "format"]
         assert config["family"] == "star:5"
-        assert config["tol"] == 1e-10
         assert config["command"] == "spectrum"
-
-    def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "spectrum", "--family", "star:5", "--tol", "0")
-        assert code == 2 and err.startswith("error:")
 
     def test_cycle_input_works(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--family", "cycle:6")
@@ -135,6 +131,19 @@ class TestInputFiles:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["inertia"] == [2, 2, 59] and report["rank"] == 4
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A_xyz\n", "graph6 body of order 2 has 4 characters; expected 1"),
+            ("Bw\nCx\n", "graph6 input must hold one graph; found 2 data lines"),
+        ],
+    )
+    def test_graph6_file_read_strictly(self, capsys, tmp_path, text, message):
+        f = tmp_path / "g.g6"
+        f.write_text(text)
+        code, out, err = run(capsys, "spectrum", "--input", str(f))
+        assert (code, out, err) == (2, "", f"error: {f}: {message}\n")
 
     def test_oversized_graph6_rejected(self, capsys, tmp_path):
         f = tmp_path / "huge.g6"
@@ -350,9 +359,14 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--n-from", "1", "--n-to", "3")
         assert code == 2 and "at least 2" in err
 
-    def test_tolerances_are_spectrum_only(self, capsys):
-        code, out, _ = run(capsys, "verify", "--family", "path:5", "--tol", "1e300")
-        assert (code, out) == (2, "")
+    def test_no_command_takes_tolerances(self, capsys):
+        for argv in (
+            ("verify", "--family", "path:5", "--tol", "1e300"),
+            ("spectrum", "--family", "star:5", "--tol", "1e-10"),
+            ("spectrum", "--family", "star:5", "--group-tol", "1e-8"),
+        ):
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
         _, out, _ = run(capsys, "verify", "--family", "path:5")
         assert "tol" not in json.loads(out.splitlines()[0])["config"]
 
@@ -472,7 +486,9 @@ class TestSweepCommand:
 # characteristic polynomial, and cover it (trees of order 40..60) and the
 # full-rank fallback (hypercube:5, star:37). The three verify digests were
 # recorded again when verify stopped echoing the tolerance flags it never
-# used; only their header line changed. A key with a space is a
+# used; only their header line changed. The eight graph keys were
+# recorded again when spectrum lost --tol and --group-tol; only the two
+# config keys left its reports. A key with a space is a
 # command line; the eight reports of one graph are hashed together, in the
 # loop order below.
 GOLDEN_DIGESTS = {
@@ -481,14 +497,14 @@ GOLDEN_DIGESTS = {
     "sweep --n-from 4 --n-to 7": "a3035ad138684e917a0c9dfda0d3d5bfdfb05380bc6c91bd97c05dc903f00d44",
     "sweep --n-from 40 --n-to 60 --samples 1 --seed 3": "f45f5317de094f9589915200d4a84e132f2b0172234b9abff643d087eaaa0d71",
     "verify --n-from 40 --n-to 44 --samples 2 --seed 5": "b3eda64974718afb02c3d9dac8cfb2908ae3b06224d74b99ddc2f6e61265cc1d",
-    "star:7": "7c64dc252c2d91cb2f9e21ae69a303e2c590fb13bd6e7df5364752169bc68f48",
-    "spider:3,2": "b5167ef7d283695852d3787983124ab8196aa2f456791e4fca71cf553055bb54",
-    "tndab:10,3,0,6": "4b83a03b5a1f6598e484f7ba1d25bc20ca69dc8b2939e3baaace1eb34e8d448d",
-    "cycle:6": "6f0ee59a25b9e2a4092364884815bc7ae54385a85a45f9bff81b2101d35ba799",
-    "hypercube:3": "80924358aba415c0c4ad455f433185676942159f7dacd8c5e5abbe4d6a80d3d8",
-    "cocktail:3": "85186261d37e106d690768a10a5e8c8ddfc22dfaffe36980ca1553f0b47de27c",
-    "hypercube:5": "0a107b644dc5e7bc2dcfad0c0dfc42f359ca0713931ba08bccc0fa7c8fd6f2a0",
-    "star:37": "c147ec9d03949ec555275d3232f51bf1c61c5862b1781d432bb35aa65f3452fa",
+    "star:7": "204e19215f00ac3b5da71ebb3e06c502fec54e4c7d5787e7f0588744f23f767c",
+    "spider:3,2": "fe326dc90659eb027b18e7f7c22ffe1b96ecdeadcee65692ee3518b12efc0910",
+    "tndab:10,3,0,6": "1895f5c035be1a7d41451ca9cd19fd3919d7f78b1ecd6a8c3191eb7bac0b5c7b",
+    "cycle:6": "e0a94a35165b7f2d81f34a209391c0393a2b55d24945244ae77f484c329f9635",
+    "hypercube:3": "16b64b4f408e1aeb31f3f25ddab06cfe090f12405f263396dc1f21ad72912ab5",
+    "cocktail:3": "3d193ef2b61834fbb6562fa4f7057f945cba37ca4fd7055f0680a13c6691ee83",
+    "hypercube:5": "5c057409a76de4cc758be6570305582cedea974d362d6794e9ce0e96cc55460d",
+    "star:37": "8ad6d025b4d8657ad52e6ef8ddfe4e1f5d44aae9cd54ebe7075734e4a84cbc04",
 }
 
 

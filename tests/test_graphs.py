@@ -304,6 +304,16 @@ class TestGraph6Format:
         with pytest.raises(ValueError):
             read_graph6("C")
 
+    def test_reject_trailing_characters(self):
+        with pytest.raises(ValueError, match="has 4 characters; expected 1"):
+            read_graph6("A_xyz")
+        with pytest.raises(ValueError, match="has 2 characters; expected 1"):
+            read_graph6("Bw?")
+
+    def test_one_graph6_line_per_input(self):
+        with pytest.raises(ValueError, match="found 2 data lines"):
+            read_graph("Bw\nCx\n")
+
 
 def test_distance_matrix_randomized_against_shuffled_labels():
     # Relabeling commutes with distance computation.

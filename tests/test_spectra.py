@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from eccmat import spectra
 from eccmat.checks import TreeFacts
 from eccmat.families import path, pruefer_random, star
 from eccmat.matrices import SymMatrix
@@ -43,25 +44,20 @@ class TestEigenvaluesSym:
 
     def test_trivial_sizes(self):
         assert eigenvalues_sym(SymMatrix([[5]])) == [5.0]
+        assert eigenvalues_sym(SymMatrix([[0]])) == [0.0]
         assert eigenvalues_sym(SymMatrix([[0, 0], [0, 0]])) == [0.0, 0.0]
 
-    def test_accepts_plain_rows(self):
-        vals = eigenvalues_sym([[0.0, 1.5], [1.5, 0.0]])
-        assert abs(vals[0] - 1.5) < 1e-12 and abs(vals[1] + 1.5) < 1e-12
-
-    def test_tol_must_be_positive(self):
-        with pytest.raises(ValueError):
-            eigenvalues_sym(SymMatrix([[1]]), tol=0.0)
-
-    def test_sweep_budget_exhaustion(self):
+    def test_sweep_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(spectra, "MAX_SWEEPS", 0)
         m = TreeFacts(path(4)).matrix
         with pytest.raises(JacobiConvergenceError) as err:
-            eigenvalues_sym(m, max_sweeps=0)
+            eigenvalues_sym(m)
         assert err.value.off_norm > 0
 
-    def test_zero_sweeps_fine_for_diagonal(self):
+    def test_zero_sweeps_fine_for_diagonal(self, monkeypatch):
+        monkeypatch.setattr(spectra, "MAX_SWEEPS", 0)
         m = SymMatrix([[3, 0], [0, -1]])
-        assert eigenvalues_sym(m, max_sweeps=0) == [3.0, -1.0]
+        assert eigenvalues_sym(m) == [3.0, -1.0]
 
     def test_large_entry_spread(self):
         rows = [
