@@ -21,6 +21,7 @@ from .exact import (
     consecutive_nonzero_witness,
     distinct_count_exact,
     inertia_exact,
+    inertia_of_matrix,
     rank_exact,
     spectrum_symmetric_exact,
 )
@@ -86,7 +87,7 @@ class TreeFacts:
     The tree must have n >= 2 vertices (ValueError otherwise): the paper's
     results are about trees with at least one edge. The matrix keeps its
     one fraction-free elimination (SymMatrix.pivots): the characteristic
-    polynomial and the rank check both read it.
+    polynomial, the rank check and the minor-sign inertia all read it.
     corrupt=True bumps one off-diagonal entry pair of the eccentricity
     matrix by 1; it exists solely as a negative-control hook.
     """
@@ -148,10 +149,16 @@ def _predicted_inertia(f: TreeFacts) -> Inertia:
 
 def check_inertia(f: TreeFacts) -> Verdict:
     """Inertia is (1,n-1,0) for stars, (2,2,n-4) for odd diameter >= 3,
-    (l,l,n-2l) for even diameter >= 4."""
+    (l,l,n-2l) for even diameter >= 4.
+
+    The computed inertia is Descartes' rule on the characteristic
+    polynomial; the verdict passes only if the signs of the leading
+    principal minors give it too."""
     expected = _predicted_inertia(f)
     computed = f.inertia
-    return _verdict("tree-inertia", f.label, expected, computed, expected == computed)
+    minors = inertia_of_matrix(f.matrix)
+    detail = "" if minors == computed else f"expected {expected}, computed {computed}, minor signs {minors}"
+    return _verdict("tree-inertia", f.label, expected, computed, expected == computed == minors, detail)
 
 
 def check_rank(f: TreeFacts) -> Verdict:
@@ -299,10 +306,10 @@ def check_pair_block_inertia(d: int, n: int) -> Verdict:
         raise ValueError("check_pair_block_inertia requires d >= 1 and n >= 2")
     m = deep_mid_block(d, n)
     instance = f"pair-block:d={d},n={n}"
-    total = inertia_exact(char_poly(m))
+    total = inertia_of_matrix(m)
     pivot = list(range(n))
-    top = inertia_exact(char_poly(m.submatrix(pivot)))
-    comp = inertia_exact(char_poly(schur_complement(m, pivot)))
+    top = inertia_of_matrix(m.submatrix(pivot))
+    comp = inertia_of_matrix(schur_complement(m, pivot))
     additive = total == tuple(x + y for x, y in zip(top, comp))
     expected = {
         "inertia": Inertia(n, n, 0),

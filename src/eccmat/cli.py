@@ -22,7 +22,7 @@ from .checks import (
     check_star_spectrum,
     tree_checks,
 )
-from .exact import char_poly, distinct_count_exact, inertia_exact, rank_exact, spectrum_symmetric_exact
+from .exact import char_poly, distinct_count_exact, inertia_of_matrix, rank_exact, spectrum_symmetric_exact
 from .families import (
     diametrical_examples,
     enumerate_labeled_trees,
@@ -139,9 +139,8 @@ def cmd_report(args) -> int:
     g, label = _load_graph(args)
     full = args.command == "spectrum"
     matrix = eccentricity_matrix(distance_matrix(g))
-    poly = char_poly(matrix)
-    inertia = inertia_exact(poly)
-    # reads the elimination char_poly ran, kept on the matrix
+    # both read the matrix's one elimination
+    inertia = inertia_of_matrix(matrix)
     rank = rank_exact(matrix)
     report = {
         "version": __version__,
@@ -152,6 +151,7 @@ def cmd_report(args) -> int:
         "diameter": matrix.max_abs(),
     }
     if full:
+        poly = char_poly(matrix)
         values = eigenvalues_sym(matrix)
         spectrum = group_spectrum(values, default_group_tol(matrix))
         report.update({

@@ -19,10 +19,13 @@ from the rank r that the matrix's fraction-free elimination gives
 The tests hold a Faddeev-LeVerrier implementation as an independent second
 route, and check both routes against it and against each other.
 
-Inertia comes from Descartes' rule of signs, which counts positive roots
-exactly for polynomials whose roots are all real. That precondition holds for
-characteristic polynomials of symmetric matrices, the only inputs this module
-sees.
+Inertia has two exact routes. inertia_of_matrix reads the signs of the
+leading principal minors along the matrix's symmetric elimination
+(SymMatrix.n_minus), with no polynomial. inertia_exact applies Descartes'
+rule of signs to the characteristic polynomial; it counts positive roots
+exactly for polynomials whose roots are all real, which holds for
+characteristic polynomials of symmetric matrices, the only inputs this
+module sees.
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ def _low_rank(a, cols):
     """
     rows = [a[i] for i in cols]
     aug = [[row[j] for j in cols] + [sum(map(mul, row, other)) for other in rows] for row in rows]
-    rank, _, _, d = _bareiss(aug, jordan=True)
+    rank, _, _, d, _ = _bareiss(aug, jordan=True)
     if rank < len(cols):
         raise ArithmeticError("pivot block is singular")
     coeffs = []
@@ -142,6 +145,14 @@ def inertia_exact(p: CharPoly) -> Inertia:
     n_plus = sum(1 for x, y in zip(signs, signs[1:]) if (x > 0) != (y > 0))
     n_minus = (len(stripped) - 1) - n_plus
     return Inertia(n_plus, n_minus, n_zero)
+
+
+def inertia_of_matrix(m: SymMatrix) -> Inertia:
+    """Inertia from the signs of the leading principal minors along the
+    matrix's symmetric elimination (SymMatrix.pivots, SymMatrix.n_minus):
+    the pivot block holds every nonzero eigenvalue, the rest are zero."""
+    rank = len(m.pivots)
+    return Inertia(rank - m.n_minus, m.n_minus, m.n - rank)
 
 
 def rank_exact(m: SymMatrix) -> int:

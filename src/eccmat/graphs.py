@@ -238,7 +238,8 @@ def read_graph6(line: str) -> Graph:
 
     The order is one character up to 62; from 63 on it is "~" and three
     characters (18 bits), or "~~" and six (36 bits), big-endian. The body
-    that follows is exactly ceil(n(n-1)/12) characters.
+    that follows is exactly ceil(n(n-1)/12) characters, and the bits after
+    the n(n-1)/2 edge bits are zero.
     """
     s = line.strip()
     if s.startswith(">>graph6<<"):
@@ -272,6 +273,8 @@ def read_graph6(line: str) -> Graph:
     for b in data[head:]:
         for k in range(5, -1, -1):
             bits.append((b >> k) & 1)
+    if any(bits[need:]):
+        raise ValueError(f"graph6 padding bits after the {need} edge bits of order {n} must be zero")
     edges = []
     pos = 0
     for j in range(1, n):

@@ -2,9 +2,12 @@
 
 One matrix type lives here: an immutable symmetric matrix of Python ints,
 the only number type of the exact layer. One fraction-free elimination
-kernel serves the determinant, the pivot columns (hence the rank and the
-low-rank characteristic polynomial) and the Schur complement, which comes
-out as a positive integer multiple so that it stays in the same type.
+kernel serves the determinant and the Schur complement, which comes out as
+a positive integer multiple so that it stays in the same type. A SymMatrix
+runs it once, with a symmetric pivot rule (1 x 1 and 2 x 2 diagonal
+steps): its pivots give the rank and the block the low-rank characteristic
+polynomial works from, and the signs of its leading principal minors give
+the inertia.
 Everything downstream (characteristic polynomials, inertia, ranks) assumes
 exact arithmetic, so there is no floating-point fallback anywhere in this
 module.
@@ -12,12 +15,14 @@ module.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 
 class SymMatrix:
     """Symmetric matrix of Python ints; any other entry type (bool, float,
     a rational) raises ValueError."""
 
-    __slots__ = ("n", "rows", "_pivots")
+    __slots__ = ("n", "rows", "_pivots", "_n_minus")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -36,18 +41,30 @@ class SymMatrix:
         self.n = n
         self.rows = rows
         self._pivots = None
+        self._n_minus = None
+
+    def _eliminate(self):
+        if self._pivots is None:
+            _, cols, _, _, self._n_minus = _bareiss([list(r) for r in self.rows], symmetric=True)
+            self._pivots = tuple(cols)
 
     @property
     def pivots(self) -> tuple:
-        """Pivot columns of one fraction-free elimination, run on first use.
+        """Pivot indices of the one symmetric fraction-free elimination, in
+        pivot order; it runs on first use.
 
-        They index a basis of the column space, so their number is the
-        rank, and since the matrix is symmetric the principal block on them
-        is nonsingular.
+        The principal block on them is nonsingular and its Schur complement
+        is zero, so their number is the rank.
         """
-        if self._pivots is None:
-            self._pivots = tuple(_bareiss([list(r) for r in self.rows])[1])
+        self._eliminate()
         return self._pivots
+
+    @property
+    def n_minus(self) -> int:
+        """Number of negative eigenvalues, read from the signs of the leading
+        principal minors along the same elimination."""
+        self._eliminate()
+        return self._n_minus
 
     def submatrix(self, indices) -> "SymMatrix":
         """Principal submatrix on the given index subset (kept in order)."""
@@ -154,7 +171,7 @@ def even_diameter_core(d: int, l: int) -> SymMatrix:
     return SymMatrix(rows)
 
 
-def _bareiss(a, block=None, jordan=False):
+def _bareiss(a, block=None, jordan=False, symmetric=False):
     """Integer-preserving (Bareiss) elimination of the row list a, in place.
 
     a has n rows and at least n columns. Columns are taken left to right
@@ -170,40 +187,97 @@ def _bareiss(a, block=None, jordan=False):
     d * M^-1 C, where d, the last pivot, is +-det M. The block itself, which
     would end as d times the identity, is left stale.
 
-    Returns (rank, pivot columns, sign of the row swaps, last pivot).
+    With symmetric=True (a square and symmetric; block and jordan unused)
+    the pivots stay on the diagonal, in a fraction-free form of the Bunch
+    and Kaufman rule. The indices not yet pivoted span the trailing block,
+    the last pivot times the Schur complement of the pivot block, so it is
+    symmetric:
+    - its first nonzero diagonal entry is a 1 x 1 step, which adds an
+      eigenvalue of the sign of that entry times the last pivot (Jacobi);
+    - on a zero diagonal its first nonzero entry c = a_ij is a 2 x 2 step
+      [[0, c], [c, 0]], which adds one eigenvalue of each sign (Frobenius).
+      It runs as two ordinary steps with a row swap inside the block: row
+      j pivots on column i, then row i on column j with the pivot
+      c^2 / (last pivot);
+    - a zero trailing block ends it. The pivot block is nonsingular and its
+      Schur complement zero, so the rank is the number of pivots and the
+      other eigenvalues are zero (Haynsworth).
+
+    Returns (rank, pivot columns, sign of the row swaps, last pivot, number
+    of negative eigenvalues). With symmetric=True the pivot columns are the
+    pivot indices in pivot order, and sign * last pivot is the determinant
+    of the pivot block; otherwise the negative count is 0.
     """
     n = len(a)
     width = len(a[0]) if a else 0
     stop = n if block is None else block
-    rank, cols, sign, prev = 0, [], 1, 1
+    rank, cols, sign, prev, negative = 0, [], 1, 1, 0
+    rest = list(range(n))  # symmetric: the indices not yet pivoted
+    second = None  # symmetric: the pivot (row, column) that ends a 2 x 2 step
     for c in range(stop):
-        for piv in range(rank, stop):
-            if a[piv][c]:
-                break
+        if second is not None:
+            (p, q), second = second, None
+            rows = right = rest
+        elif symmetric:
+            for p in rest:
+                if a[p][p]:
+                    q = p
+                    negative += (a[p][p] > 0) != (prev > 0)
+                    rest.remove(p)
+                    rows = right = rest
+                    break
+            else:
+                # a zero diagonal: a 2 x 2 step on its first nonzero entry,
+                # or the end (a zero diagonal of order 1 is the whole block)
+                if len(rest) < 2:
+                    break
+                trailing = itemgetter(*rest)
+                for i in rest:
+                    if any(trailing(a[i])):
+                        break
+                else:
+                    break
+                ai = a[i]
+                for j in rest:
+                    if ai[j]:
+                        break
+                p, q, second = j, i, (i, j)
+                rest.remove(i)
+                rest.remove(j)
+                rows, right = rest + [i], rest + [j]
+                sign = -sign
+                negative += 1
         else:
-            continue
-        if piv != rank:
-            a[piv], a[rank] = a[rank], a[piv]
-            sign = -sign
-        pivot_row = a[rank]
-        pv = pivot_row[c]
-        for i in range(n) if jordan else range(rank + 1, n):
-            if i == rank:
+            for p in range(rank, stop):
+                if a[p][c]:
+                    break
+            else:
+                continue
+            if p != rank:
+                a[p], a[rank] = a[rank], a[p]
+                sign = -sign
+            p, q = rank, c
+            rows = range(n) if jordan else range(rank + 1, n)
+            right = range(c + 1, width)
+        pivot_row = a[p]
+        pv = pivot_row[q]
+        for i in rows:
+            if i == p:
                 continue
             ai = a[i]
-            aic = ai[c]
-            for j in range(c + 1, width):
-                ai[j] = (ai[j] * pv - aic * pivot_row[j]) // prev
+            aiq = ai[q]
+            for j in right:
+                ai[j] = (ai[j] * pv - aiq * pivot_row[j]) // prev
         prev = pv
-        cols.append(c)
+        cols.append(q)
         rank += 1
-    return rank, cols, sign, prev
+    return rank, cols, sign, prev, negative
 
 
 def bareiss_det(rows):
     """Exact determinant of a square matrix by fraction-free elimination."""
     a = [list(r) for r in rows]
-    rank, _, sign, last = _bareiss(a)
+    rank, _, sign, last, _ = _bareiss(a)
     return sign * last if rank == len(a) else 0
 
 
@@ -224,7 +298,7 @@ def schur_complement(m: SymMatrix, pivot_set) -> SymMatrix:
     order = pivot + sorted(set(range(n)) - set(pivot))
     k = len(pivot)
     a = [[m.rows[i][j] for j in order] for i in order]
-    rank, _, _, last = _bareiss(a, k)
+    rank, _, _, last, _ = _bareiss(a, k)
     if rank < k:
         raise ValueError(f"singular pivot block {pivot}")
     sign = -1 if last < 0 else 1

@@ -9,7 +9,7 @@ from operator import mul
 
 from eccmat.exact import CharPoly, char_poly, inertia_exact
 from eccmat.graphs import Graph, Tree
-from eccmat.matrices import SymMatrix, bareiss_det, schur_complement
+from eccmat.matrices import SymMatrix, bareiss_det, deep_mid_block, schur_complement
 
 
 def pruefer_encode(t: Tree):
@@ -206,6 +206,18 @@ def haynsworth_check(m: SymMatrix, pivot_set) -> bool:
     part = inertia_exact(char_poly(m.submatrix(pivot)))
     whole = inertia_exact(char_poly(m))
     return whole == tuple(x + y for x, y in zip(part, comp))
+
+
+def pair_block_inertias_by_descartes(d: int, n: int):
+    """The three inertias check_pair_block_inertia reports (deep_mid_block,
+    its leading n x n block, that block's Schur complement), by Descartes'
+    rule on their characteristic polynomials."""
+    m = deep_mid_block(d, n)
+    pivot = list(range(n))
+    return tuple(
+        inertia_exact(char_poly(x))
+        for x in (m, m.submatrix(pivot), schur_complement(m, pivot))
+    )
 
 
 def schur_by_solve(rows, pivot):

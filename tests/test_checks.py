@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from eccmat import checks
 from eccmat.checks import (
     FLOAT_TOL,
     TreeFacts,
@@ -24,6 +25,7 @@ from eccmat.checks import (
     min_radius_tree,
     tree_checks,
 )
+from eccmat.exact import Inertia
 from eccmat.families import (
     center_pendant_tree,
     cycle,
@@ -35,6 +37,8 @@ from eccmat.families import (
 )
 from eccmat.graphs import Tree
 from eccmat.matrices import SymMatrix
+
+from _oracles import pair_block_inertias_by_descartes
 
 
 class TestVerdictType:
@@ -80,6 +84,30 @@ class TestInertiaCheck:
 
     def test_theorem_id(self):
         assert check_inertia(TreeFacts(path(4))).theorem_id == "tree-inertia"
+
+    def test_minor_signs_must_agree(self, monkeypatch):
+        # negative control: the prediction and Descartes still agree, only
+        # the minor-sign route is made wrong
+        real = checks.inertia_of_matrix
+
+        def swapped(m):
+            plus, minus, zero = real(m)
+            return Inertia(minus, plus, zero)
+
+        def shifted(m):
+            plus, minus, zero = real(m)
+            return Inertia(plus + 1, minus - 1, zero)
+
+        monkeypatch.setattr(checks, "inertia_of_matrix", swapped)
+        v = check_inertia(TreeFacts(star(5)))
+        assert not v.passed
+        assert tuple(v.expected) == tuple(v.computed) == (1, 4, 0)
+        assert v.detail.endswith("minor signs Inertia(n_plus=4, n_minus=1, n_zero=0)")
+        # a tree's nonstar inertia (l, l, n - 2l) is unchanged by the swap
+        assert check_inertia(TreeFacts(path(6))).passed
+        monkeypatch.setattr(checks, "inertia_of_matrix", shifted)
+        v = check_inertia(TreeFacts(path(6)))
+        assert not v.passed and tuple(v.computed) == (2, 2, 2)
 
 
 class TestRankCheck:
@@ -219,6 +247,15 @@ class TestPairBlockInertia:
         assert v.passed, v.detail
         assert tuple(v.computed["inertia"]) == (n, n, 0)
         assert v.computed["additive"]
+
+    def test_minor_signs_agree_with_descartes(self):
+        for d in range(1, 5):
+            for n in range(2, 7):
+                v = check_pair_block_inertia(d, n)
+                total, top, comp = pair_block_inertias_by_descartes(d, n)
+                assert v.computed["inertia"] == total
+                assert v.computed["pivot_inertia"] == top
+                assert v.computed["complement_inertia"] == comp
 
     def test_arguments_validated(self):
         with pytest.raises(ValueError):

@@ -93,6 +93,19 @@ class TestInertiaCommand:
         assert report["rank"] == 6
         assert "char_poly" not in report
 
+    def test_no_characteristic_polynomial(self, capsys, monkeypatch):
+        # inertia and rank come from the elimination alone
+        def refuse(m):
+            raise AssertionError("char_poly called")
+
+        monkeypatch.setattr(eccmat.cli, "char_poly", refuse)
+        for family, inertia in (("star:37", [1, 36, 0]), ("path:6", [2, 2, 2]), ("hypercube:4", [8, 8, 0])):
+            code, out, err = run(capsys, "inertia", "--family", family)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["inertia"] == inertia
+        with pytest.raises(AssertionError, match="char_poly called"):
+            main(["spectrum", "--family", "path:6"])
+
 
 class TestInputFiles:
     def test_edge_list_file(self, capsys, tmp_path):
@@ -137,6 +150,7 @@ class TestInputFiles:
         [
             ("A_xyz\n", "graph6 body of order 2 has 4 characters; expected 1"),
             ("Bw\nCx\n", "graph6 input must hold one graph; found 2 data lines"),
+            ("Ao\n", "graph6 padding bits after the 1 edge bits of order 2 must be zero"),
         ],
     )
     def test_graph6_file_read_strictly(self, capsys, tmp_path, text, message):

@@ -11,13 +11,24 @@ from eccmat.exact import (
     consecutive_nonzero_witness,
     distinct_count_exact,
     inertia_exact,
+    inertia_of_matrix,
     poly_gcd,
     rank_exact,
     spectrum_symmetric_exact,
 )
-from eccmat.families import path, pruefer_random, star
+from eccmat.checks import min_radius_tree
+from eccmat.families import diametrical_examples, parse_family, path, pruefer_random, star
 from eccmat.graphs import distance_matrix
-from eccmat.matrices import SymMatrix, bareiss_det, eccentricity_matrix
+from eccmat.matrices import (
+    SymMatrix,
+    _bareiss,
+    bareiss_det,
+    deep_mid_block,
+    eccentricity_matrix,
+    even_diameter_core,
+    odd_diameter_core,
+    schur_complement,
+)
 
 from _oracles import (
     char_poly_by_minors,
@@ -165,7 +176,9 @@ class TestLowRankRoute:
                 self.agree(m)
 
     def test_negative_pivot_block_determinant(self):
-        # pivot block [[0, 2], [2, 0]] (det -4), bordered by combinations of it
+        # [[0, 2], [2, 0]] (det -4), bordered by combinations of it; the
+        # symmetric elimination pivots on entry (2, 2) = 4, then on 0, and
+        # its pivot block [[4, 2], [2, 0]] has det -4 too
         u = [[1, 0], [0, 1], [1, 1], [2, -1], [0, 3]]
         block = [[0, 2], [2, 0]]
         rows = [
@@ -174,7 +187,7 @@ class TestLowRankRoute:
             for i in range(5)
         ]
         m = SymMatrix(rows)
-        assert m.pivots == (0, 1)
+        assert m.pivots == (2, 0)
         assert bareiss_det(m.submatrix(m.pivots).rows) == -4
         self.agree(m)
 
@@ -220,6 +233,107 @@ class TestInertiaExact:
             m = random_symmetric(6, rng)
             inn = inertia_exact(char_poly(m))
             assert inn.n_plus + inn.n_minus + inn.n_zero == 6
+
+
+def ecc(g):
+    return eccentricity_matrix(distance_matrix(g))
+
+
+class TestInertiaOfMatrix:
+    """The signs of the leading principal minors along the symmetric
+    elimination must give the inertia Descartes' rule gives."""
+
+    @staticmethod
+    def agree(m):
+        got = inertia_of_matrix(m)
+        assert got == inertia_exact(char_poly(m))
+        return got
+
+    def test_one_by_one(self):
+        assert self.agree(SymMatrix([[5]])) == Inertia(1, 0, 0)
+        assert self.agree(SymMatrix([[-3]])) == Inertia(0, 1, 0)
+        assert self.agree(SymMatrix([[0]])) == Inertia(0, 0, 1)
+
+    def test_zero_matrix(self):
+        for n in (2, 3, 7):
+            assert self.agree(SymMatrix([[0] * n for _ in range(n)])) == Inertia(0, 0, n)
+
+    def test_two_by_two_step_after_one_by_one_steps(self):
+        # L B L^T with L unit lower triangular keeps B's leading principal
+        # minors 3, -15, 0, 735: two 1 x 1 steps, then a 2 x 2 step on the
+        # scaled entry c = -15 * 7, whose second pivot c^2 / -15 divides by
+        # a minor other than +-1
+        b = [[3, 0, 0, 0, 0], [0, -5, 0, 0, 0], [0, 0, 0, 7, 0], [0, 0, 7, 0, 0], [0, 0, 0, 0, 0]]
+        low = [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [-1, 3, 1, 0, 0], [4, -2, 0, 1, 0], [1, 1, 0, 0, 1]]
+        lb = [[sum(low[i][k] * b[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
+        m = SymMatrix([[sum(lb[i][k] * low[j][k] for k in range(5)) for j in range(5)] for i in range(5)])
+        assert all(m.rows[i][i] for i in range(5))
+        rank, cols, sign, last, negative = _bareiss([list(r) for r in m.rows], symmetric=True)
+        assert (rank, cols, negative) == (4, [0, 1, 2, 3], 2)
+        assert sign * last == bareiss_det(m.submatrix(cols).rows) == 3 * -5 * -49
+        assert self.agree(m) == Inertia(2, 2, 1)
+        assert self.agree(SymMatrix([[2, 2, 2], [2, 2, 5], [2, 5, 2]])) == Inertia(2, 1, 0)
+
+    def test_random_symmetric(self):
+        rng = random.Random(71)
+        for n in range(1, 10):
+            for _ in range(25):
+                rows = [list(r) for r in random_symmetric(n, rng, -3, 3).rows]
+                density, hollow = rng.random(), rng.random() < 0.5
+                for i in range(n):
+                    for j in range(i, n):
+                        if (hollow and i == j) or rng.random() > density:
+                            rows[i][j] = rows[j][i] = 0
+                m = SymMatrix(rows)
+                got = self.agree(m)
+                assert tuple(got) == rational_inertia_by_congruence(rows)
+
+    def test_random_low_rank(self):
+        rng = random.Random(73)
+        for n in range(2, 11):
+            for r in range(1, n):
+                m = low_rank_symmetric(n, r, rng, lead=rng.randint(0, n - r))
+                assert self.agree(m).n_zero == n - r
+
+    def test_explicit_matrices(self):
+        # the matrices of the fixed battery and acceptance criteria 3 to 5
+        for d in range(1, 7):
+            assert self.agree(odd_diameter_core(d)) == Inertia(2, 2, 0)
+        for d in range(1, 6):
+            for n in range(2, 7):
+                m = deep_mid_block(d, n)
+                pivot = list(range(n))
+                assert self.agree(m) == Inertia(n, n, 0)
+                self.agree(m.submatrix(pivot))
+                self.agree(schur_complement(m, pivot))
+        for d in range(2, 6):
+            for l in range(2, 6):
+                self.agree(even_diameter_core(d, l))
+        for g in diametrical_examples():
+            self.agree(ecc(g))
+        for n in range(3, 51):
+            assert self.agree(ecc(star(n))) == Inertia(1, n - 1, 0)
+
+    def test_trees(self):
+        for n in range(4, 25):
+            self.agree(ecc(min_radius_tree(n)))
+        for n in range(2, 61):
+            for i in range(3):
+                self.agree(ecc(pruefer_random(n, f"minors:{n}:{i}")))
+
+    def test_dense_graphs(self):
+        # the 36 full-rank and rank n-1 graphs of the dense-rank benchmark
+        tokens = (
+            [f"star:{n}" for n in range(9, 41, 4)]
+            + [f"spider:{k},2" for k in range(5, 20, 2)]
+            + [f"cycle:{2 * k}" for k in range(5, 20, 2)]
+            + [f"cocktail:{k}" for k in range(5, 20, 2)]
+            + [f"hypercube:{d}" for d in (3, 4, 5, 6)]
+        )
+        assert len(tokens) == 36
+        for token in tokens:
+            m = ecc(parse_family(token))
+            assert self.agree(m).n_zero == m.n - rank_exact(m)
 
 
 class TestRankExact:

@@ -310,6 +310,18 @@ class TestGraph6Format:
         with pytest.raises(ValueError, match="has 2 characters; expected 1"):
             read_graph6("Bw?")
 
+    def test_reject_nonzero_padding(self):
+        # "A_" is K2; its five padding bits must be zero
+        for line in ("Ao", "A~", "Bx"):
+            with pytest.raises(ValueError, match="padding bits"):
+                read_graph6(line)
+        for n in range(1, 12):
+            line = to_graph6(path(n))
+            assert read_graph6(line).edges() == path(n).edges()
+            if n * (n - 1) // 2 % 6:
+                with pytest.raises(ValueError, match="padding bits"):
+                    read_graph6(line[:-1] + chr(((ord(line[-1]) - 63) | 1) + 63))
+
     def test_one_graph6_line_per_input(self):
         with pytest.raises(ValueError, match="found 2 data lines"):
             read_graph("Bw\nCx\n")

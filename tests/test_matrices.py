@@ -176,9 +176,40 @@ class TestEliminationKernel:
 
         for i in range(40):
             m = eccentricity_matrix(distance_matrix(pruefer_random(9, f"kernel:{i}")))
-            rank, cols, _, _ = _bareiss([list(r) for r in m.rows])
-            assert len(cols) == rank < m.n
-            assert bareiss_det([[m.rows[a][b] for b in cols] for a in cols]) != 0
+            for symmetric in (False, True):
+                rank, cols = _bareiss([list(r) for r in m.rows], symmetric=symmetric)[:2]
+                assert len(cols) == rank < m.n
+                assert bareiss_det([[m.rows[a][b] for b in cols] for a in cols]) != 0
+
+
+    def test_symmetric_rule(self):
+        # same rank as the column rule; sign * last pivot is the determinant
+        # of the pivot block, taken in pivot order
+        from eccmat.matrices import _bareiss
+
+        rng = random.Random(29)
+        for n in range(1, 9):
+            for _ in range(30):
+                rows = [list(r) for r in random_symmetric(n, rng, -2, 2).rows]
+                if rng.random() < 0.5:
+                    for i in range(n):
+                        rows[i][i] = 0
+                rank, cols, sign, last, negative = _bareiss([list(r) for r in rows], symmetric=True)
+                assert rank == len(cols) == _bareiss([list(r) for r in rows])[0]
+                assert 0 <= negative <= rank
+                block = [[rows[a][b] for b in cols] for a in cols]
+                assert sign * last == leibniz_det(block) != 0
+                if rank == n:
+                    assert sign * last == bareiss_det(rows)
+
+    def test_column_rule_results_unchanged(self):
+        # values from before the symmetric rule joined the kernel
+        assert bareiss_det(deep_mid_block(2, 3).rows) == -2916
+        assert bareiss_det(odd_diameter_core(2).rows) == 256
+        assert schur_complement(deep_mid_block(2, 3), [0, 1, 2]).rows == (
+            (0, -288, -288), (-288, 0, -288), (-288, -288, 0))
+        assert schur_complement(even_diameter_core(3, 2), [0, 1]).rows == (
+            (0, -96, -72), (-96, 0, -72), (-72, -72, -108))
 
 
 class TestPrincipalMinorSums:
