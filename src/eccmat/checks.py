@@ -341,14 +341,13 @@ def check_core_minor_sums(d: int, l: int) -> Verdict:
     mid_center_form = sign * 2 * d * (l - 1) * (l - 2) * (d + 1) ** (2 * (l - 1))
     mid_pair_form = sign * 4 * d**3 * (d + 1) ** (2 * (l - 2))
 
-    rows = m.rows
     minors_ok = True
     bad = ""
     signs = set()
     total = 0
     for i, j in itertools.combinations(range(size), 2):
         keep = [r for r in range(size) if r != i and r != j]
-        minor = bareiss_det([[rows[a][b] for b in keep] for a in keep])
+        minor = bareiss_det(m.submatrix(keep))
         total += minor
         if minor:
             signs.add(1 if minor > 0 else -1)

@@ -153,14 +153,14 @@ def cmd_report(args) -> int:
     if full:
         poly = char_poly(matrix)
         values = eigenvalues_sym(matrix)
-        spectrum = group_spectrum(values, default_group_tol(matrix))
+        means, multiplicities = group_spectrum(values, default_group_tol(matrix))
         report.update({
             "char_poly": poly.to_json(),
             "inertia": list(inertia),
             "rank": rank,
             "spectrum": {
-                "values": list(spectrum.values),
-                "multiplicities": list(spectrum.multiplicities),
+                "values": list(means),
+                "multiplicities": list(multiplicities),
             },
             "spectral_radius": values[0],
             "least_eigenvalue": values[-1],
@@ -278,6 +278,8 @@ def cmd_verify(args) -> int:
     single = args.family or args.input
     if bool(single) == (args.n_from is not None):
         raise ValueError("verify needs either --family/--input or --n-from/--n-to")
+    if single and args.samples is not None:
+        raise ValueError("--samples needs --n-from/--n-to")
     if single:
         # The one instance is checked before the header is written, so input
         # that no check accepts (n < 2, a graph that is neither a tree nor

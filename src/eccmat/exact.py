@@ -7,11 +7,13 @@ from the rank r that the matrix's fraction-free elimination gives
 (SymMatrix.pivots):
 
 - 2r <= n, the low-rank route (a tree's eccentricity matrix has rank 4 or
-  2l). The pivot columns C index a nonsingular principal block M = A_CC,
-  and p_A(x) = x^(n-r) det(xM - G) / det M with G = A_C: A_:C. A
-  fraction-free Gauss-Jordan on [M | G] gives B = d M^-1 G, d = +-det M;
-  Berkowitz runs on the r x r matrix B and its k-th coefficient is divided
-  by d^k, a nonzero remainder raising ArithmeticError.
+  2l). The pivot indices Q give a nonsingular principal block M = A_QQ,
+  and p_A(x) = x^(n-r) det(xM - G) / det M with G = A_Q: A_:Q. The
+  elimination's own pivot rows, in Gauss-Jordan form, hold X = d M^-1 A_QU
+  on the unpivoted indices U, d = +-det M (SymMatrix.jordan), so
+  B = d M^-1 G = d A_QQ + X A_UQ needs no second elimination. Berkowitz
+  runs on the r x r matrix B and its k-th coefficient is divided by d^k,
+  a nonzero remainder raising ArithmeticError.
 - 2r > n (stars, spiders, diametrical graphs): the division-free Berkowitz
   recurrence on the whole matrix, its matrix-vector products running over
   each row's nonzero entries.
@@ -32,10 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd as _int_gcd
-from operator import mul
 from typing import NamedTuple, Optional
 
-from .matrices import SymMatrix, _bareiss
+from .matrices import SymMatrix
 
 
 @dataclass(frozen=True)
@@ -101,41 +102,33 @@ def _berkowitz(a):
     return poly
 
 
-def _low_rank(a, cols):
-    """Coefficients of det(xI - M^-1 G), M = a_CC, G = a_C: a_:C, for the
-    pivot columns C of a symmetric integer row list a.
+def char_poly(m: SymMatrix) -> CharPoly:
+    """Exact characteristic polynomial of a symmetric integer matrix.
 
-    Gauss-Jordan on [M | G] gives B = d M^-1 G with d = +-det M, so the
-    k-th coefficient is that of det(xI - B) divided by d^k. A nonzero
-    remainder raises ArithmeticError instead of returning a wrong result.
+    With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
+    block M = A_QQ, G = A_Q: A_:Q; otherwise Berkowitz runs on the whole
+    matrix.
     """
-    rows = [a[i] for i in cols]
-    aug = [[row[j] for j in cols] + [sum(map(mul, row, other)) for other in rows] for row in rows]
-    rank, _, _, d, _ = _bareiss(aug, jordan=True)
-    if rank < len(cols):
-        raise ArithmeticError("pivot block is singular")
-    coeffs = []
-    scale = 1
-    for c in _berkowitz([row[rank:] for row in aug]):
+    a, pivots = m.rows, m.pivots
+    if 2 * len(pivots) > m.n:
+        return CharPoly(tuple(_berkowitz(a)))
+    # M^-1 G = M + M^-1 A_QU A_UQ, so B = d M^-1 G = d A_QQ + X A_UQ
+    x, d = m.jordan
+    pivoted = set(pivots)
+    rest = [c for c in range(m.n) if c not in pivoted]
+    border = [[a[s][c] for c in rest] for s in pivots]  # A_QU, whose columns are A_UQ's
+    b = [
+        [d * a[q][s] + sum(u * v for u, v in zip(xq, cs)) for s, cs in zip(pivots, border)]
+        for q, xq in zip(pivots, x)
+    ]
+    coeffs, scale = [], 1
+    for c in _berkowitz(b):
         q, rem = divmod(c, scale)
         if rem:
             raise ArithmeticError("low-rank coefficient is not divisible by the pivot power")
         coeffs.append(q)
         scale *= d
-    return coeffs
-
-
-def char_poly(m: SymMatrix) -> CharPoly:
-    """Exact characteristic polynomial of a symmetric integer matrix.
-
-    With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
-    block; otherwise Berkowitz runs on the whole matrix.
-    """
-    a = m.rows
-    cols = m.pivots
-    if 2 * len(cols) > m.n:
-        return CharPoly(tuple(_berkowitz(a)))
-    return CharPoly(tuple(_low_rank(a, cols)) + (0,) * (m.n - len(cols)))
+    return CharPoly(tuple(coeffs) + (0,) * (m.n - len(pivots)))
 
 
 def inertia_exact(p: CharPoly) -> Inertia:

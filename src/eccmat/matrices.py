@@ -2,27 +2,23 @@
 
 One matrix type lives here: an immutable symmetric matrix of Python ints,
 the only number type of the exact layer. One fraction-free elimination
-kernel serves the determinant and the Schur complement, which comes out as
-a positive integer multiple so that it stays in the same type. A SymMatrix
-runs it once, with a symmetric pivot rule (1 x 1 and 2 x 2 diagonal
-steps): its pivots give the rank and the block the low-rank characteristic
-polynomial works from, and the signs of its leading principal minors give
-the inertia.
-Everything downstream (characteristic polynomials, inertia, ranks) assumes
-exact arithmetic, so there is no floating-point fallback anywhere in this
-module.
+kernel with one pivot rule (1 x 1 and 2 x 2 diagonal steps) serves the
+determinant, the Schur complement (a positive integer multiple, so that it
+stays in the same type) and each SymMatrix, which runs it once: its pivots
+give the rank, the signs of its leading principal minors the inertia, and
+at rank r with 2r <= n its pivot rows, brought to Gauss-Jordan form, the
+block the low-rank characteristic polynomial works from. Everything is
+exact, so there is no floating-point fallback anywhere in this module.
 """
 
 from __future__ import annotations
-
-from operator import itemgetter
 
 
 class SymMatrix:
     """Symmetric matrix of Python ints; any other entry type (bool, float,
     a rational) raises ValueError."""
 
-    __slots__ = ("n", "rows", "_pivots", "_n_minus")
+    __slots__ = ("n", "rows", "_pivots", "_n_minus", "_jordan")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -42,11 +38,15 @@ class SymMatrix:
         self.rows = rows
         self._pivots = None
         self._n_minus = None
+        self._jordan = None
 
     def _eliminate(self):
         if self._pivots is None:
-            _, cols, _, _, self._n_minus = _bareiss([list(r) for r in self.rows], symmetric=True)
-            self._pivots = tuple(cols)
+            a = [list(r) for r in self.rows]
+            steps, _, last, self._n_minus = _bareiss(a)
+            self._pivots = tuple(q for _, q in steps)
+            if 2 * len(steps) <= self.n:
+                self._jordan = (_gauss_jordan(a, steps), last)
 
     @property
     def pivots(self) -> tuple:
@@ -65,6 +65,15 @@ class SymMatrix:
         principal minors along the same elimination."""
         self._eliminate()
         return self._n_minus
+
+    @property
+    def jordan(self):
+        """(X, d) when the rank r has 2r <= n, else None: d is the last
+        pivot of the same elimination (+-det M for the pivot block M), and
+        X the r x (n - r) matrix d * M^-1 A_QU, rows in pivot order and
+        columns the unpivoted indices U in ascending order."""
+        self._eliminate()
+        return self._jordan
 
     def submatrix(self, indices) -> "SymMatrix":
         """Principal submatrix on the given index subset (kept in order)."""
@@ -171,27 +180,25 @@ def even_diameter_core(d: int, l: int) -> SymMatrix:
     return SymMatrix(rows)
 
 
-def _bareiss(a, block=None, jordan=False, symmetric=False):
-    """Integer-preserving (Bareiss) elimination of the row list a, in place.
+def _step(a, rows, right, p, q, prev):
+    """One Bareiss step on pivot a[p][q]: each of rows on the columns right
+    becomes (a_ij * a_pq - a_iq * a_pj) / prev, an exact division."""
+    pivot_row = a[p]
+    pv = pivot_row[q]
+    for i in rows:
+        ai = a[i]
+        aiq = ai[q]
+        for j in right:
+            ai[j] = (ai[j] * pv - aiq * pivot_row[j]) // prev
 
-    a has n rows and at least n columns. Columns are taken left to right
-    up to column n - 1. Each gets as pivot the first nonzero entry among
-    the rows not yet used, or is skipped when there is none. Every update
-    divides exactly by the previous pivot, so by Sylvester's identity,
-    after k pivots each trailing entry is a (k+1)-square bordered minor and
-    the k-th pivot is the leading k-square minor of the row-swapped matrix.
-    With block=k only the first k columns are eliminated, and their pivots
-    are searched in the first k rows. With jordan=True the rows above each
-    pivot are updated too (fraction-free Gauss-Jordan): when the leading
-    n-square block M is nonsingular, the columns C beside it end as
-    d * M^-1 C, where d, the last pivot, is +-det M. The block itself, which
-    would end as d times the identity, is left stale.
 
-    With symmetric=True (a square and symmetric; block and jordan unused)
-    the pivots stay on the diagonal, in a fraction-free form of the Bunch
-    and Kaufman rule. The indices not yet pivoted span the trailing block,
-    the last pivot times the Schur complement of the pivot block, so it is
-    symmetric:
+def _bareiss(a, block=None):
+    """Fraction-free (Bareiss) elimination of the symmetric row list a, in
+    place, with its pivots on the diagonal (a fraction-free form of the
+    Bunch and Kaufman rule).
+
+    The indices not yet pivoted span the trailing block, the last pivot
+    times the Schur complement of the pivot block, so it is symmetric:
     - its first nonzero diagonal entry is a 1 x 1 step, which adds an
       eigenvalue of the sign of that entry times the last pivot (Jacobi);
     - on a zero diagonal its first nonzero entry c = a_ij is a 2 x 2 step
@@ -202,94 +209,81 @@ def _bareiss(a, block=None, jordan=False, symmetric=False):
     - a zero trailing block ends it. The pivot block is nonsingular and its
       Schur complement zero, so the rank is the number of pivots and the
       other eigenvalues are zero (Haynsworth).
+    Each step updates the trailing block and divides exactly by the last
+    pivot, so by Sylvester's identity the k-th pivot is the leading k-square
+    minor with the rows in pivot-row and the columns in pivot-column order.
+    With block=k only the first k indices are pivot candidates.
 
-    Returns (rank, pivot columns, sign of the row swaps, last pivot, number
-    of negative eigenvalues). With symmetric=True the pivot columns are the
-    pivot indices in pivot order, and sign * last pivot is the determinant
-    of the pivot block; otherwise the negative count is 0.
+    Returns (steps, sign, last pivot, number of negative eigenvalues):
+    steps lists the (pivot row, pivot column) pairs in pivot order, and
+    sign * last pivot is the determinant of the pivot block.
     """
-    n = len(a)
-    width = len(a[0]) if a else 0
-    stop = n if block is None else block
-    rank, cols, sign, prev, negative = 0, [], 1, 1, 0
-    rest = list(range(n))  # symmetric: the indices not yet pivoted
-    second = None  # symmetric: the pivot (row, column) that ends a 2 x 2 step
-    for c in range(stop):
-        if second is not None:
-            (p, q), second = second, None
-            rows = right = rest
-        elif symmetric:
-            for p in rest:
-                if a[p][p]:
-                    q = p
-                    negative += (a[p][p] > 0) != (prev > 0)
-                    rest.remove(p)
-                    rows = right = rest
-                    break
-            else:
-                # a zero diagonal: a 2 x 2 step on its first nonzero entry,
-                # or the end (a zero diagonal of order 1 is the whole block)
-                if len(rest) < 2:
-                    break
-                trailing = itemgetter(*rest)
-                for i in rest:
-                    if any(trailing(a[i])):
-                        break
-                else:
-                    break
-                ai = a[i]
-                for j in rest:
-                    if ai[j]:
-                        break
-                p, q, second = j, i, (i, j)
-                rest.remove(i)
-                rest.remove(j)
-                rows, right = rest + [i], rest + [j]
-                sign = -sign
-                negative += 1
+    steps, sign, prev, negative = [], 1, 1, 0
+    rest = list(range(len(a)))  # the indices not yet pivoted, ascending
+    while True:
+        cand = rest if block is None else [i for i in rest if i < block]
+        for p in cand:
+            if a[p][p]:
+                negative += (a[p][p] > 0) != (prev > 0)
+                rest.remove(p)
+                _step(a, rest, rest, p, p, prev)
+                prev = a[p][p]
+                steps.append((p, p))
+                break
         else:
-            for p in range(rank, stop):
-                if a[p][c]:
+            # a zero diagonal: a 2 x 2 step on its first nonzero entry, or
+            # the end
+            for i in cand:
+                if any(map(a[i].__getitem__, cand)):
                     break
             else:
-                continue
-            if p != rank:
-                a[p], a[rank] = a[rank], a[p]
-                sign = -sign
-            p, q = rank, c
-            rows = range(n) if jordan else range(rank + 1, n)
-            right = range(c + 1, width)
-        pivot_row = a[p]
-        pv = pivot_row[q]
-        for i in rows:
-            if i == p:
-                continue
-            ai = a[i]
-            aiq = ai[q]
-            for j in right:
-                ai[j] = (ai[j] * pv - aiq * pivot_row[j]) // prev
-        prev = pv
-        cols.append(q)
-        rank += 1
-    return rank, cols, sign, prev, negative
+                break
+            j = next(j for j in cand if a[i][j])
+            rest.remove(i)
+            rest.remove(j)
+            _step(a, rest + [i], rest + [j], j, i, prev)
+            prev = a[j][i]
+            _step(a, rest, rest, i, j, prev)
+            prev = a[i][j]
+            steps += [(j, i), (i, j)]
+            sign = -sign
+            negative += 1
+    return steps, sign, prev, negative
 
 
-def bareiss_det(rows):
-    """Exact determinant of a square matrix by fraction-free elimination."""
-    a = [list(r) for r in rows]
-    rank, _, sign, last, _ = _bareiss(a)
-    return sign * last if rank == len(a) else 0
+def _gauss_jordan(a, steps):
+    """Bring the pivot rows of a finished elimination (a, steps) to
+    fraction-free Gauss-Jordan form by replaying each step, on the columns
+    it updated, on the rows pivoted before it.
+
+    Returns the pivot rows on the unpivoted columns U (ascending), in pivot
+    order. The row of pivot (p, q) holds d (A_PQ^-1 A_PU)_q, d the last
+    pivot; the order of the rows P does not change the solve, so this is
+    d M^-1 A_QU for the pivot block M = A_QQ.
+    """
+    pivoted = {q for _, q in steps}
+    rest = [c for c in range(len(a)) if c not in pivoted]
+    for t, (p, q) in enumerate(steps[1:], 1):
+        b, c = steps[t - 1]
+        _step(a, [s for s, _ in steps[:t]], [j for _, j in steps[t + 1:]] + rest, p, q, a[b][c])
+    return [[a[p][c] for c in rest] for p, _ in steps]
+
+
+def bareiss_det(m: SymMatrix) -> int:
+    """Exact determinant by the symmetric fraction-free elimination."""
+    steps, sign, last, _ = _bareiss([list(r) for r in m.rows])
+    return sign * last if len(steps) == m.n else 0
 
 
 def schur_complement(m: SymMatrix, pivot_set) -> SymMatrix:
     """|det A11| (A22 - A21 A11^{-1} A12), pivoting on pivot_set.
 
     A positive multiple of the Schur complement, so it has the Schur
-    complement's inertia and rank, in integers. Eliminating the pivot
-    block's columns leaves the trailing block equal to the last pivot,
-    +-det A11, times the Schur complement (Sylvester's identity); the sign
-    of that pivot makes the multiple positive. Raises ValueError naming the
-    set if the pivot block is singular.
+    complement's inertia and rank, in integers. Eliminating with the pivots
+    restricted to the pivot block leaves the trailing block equal to the
+    last pivot, +-det A11, times the Schur complement (Sylvester's
+    identity); the sign of that pivot makes the multiple positive. Raises
+    ValueError naming the set if the pivot block is singular.
     """
     pivot = sorted(set(pivot_set))
     n = m.n
@@ -298,8 +292,8 @@ def schur_complement(m: SymMatrix, pivot_set) -> SymMatrix:
     order = pivot + sorted(set(range(n)) - set(pivot))
     k = len(pivot)
     a = [[m.rows[i][j] for j in order] for i in order]
-    rank, _, _, last, _ = _bareiss(a, k)
-    if rank < k:
+    steps, _, last, _ = _bareiss(a, k)
+    if len(steps) < k:
         raise ValueError(f"singular pivot block {pivot}")
     sign = -1 if last < 0 else 1
     return SymMatrix([[sign * x for x in row[k:]] for row in a[k:]])

@@ -11,7 +11,6 @@ off-diagonal norms near machine precision in a handful of sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .exact import Inertia
 from .matrices import SymMatrix
@@ -80,28 +79,10 @@ def eigenvalues_sym(m: SymMatrix):
                     aq[k] = s * akp + c * akq
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Distinct eigenvalues (descending) with multiplicities."""
-
-    values: tuple
-    multiplicities: tuple
-    group_tol: float
-
-    def __post_init__(self):
-        if len(self.values) != len(self.multiplicities):
-            raise ValueError("values and multiplicities must align")
-        for a, b in zip(self.values, self.values[1:]):
-            if a - b <= self.group_tol:
-                raise ValueError("distinct spectrum values must differ by more than group_tol")
-
-    @property
-    def order(self) -> int:
-        return sum(self.multiplicities)
-
-
-def group_spectrum(values, group_tol: float) -> Spectrum:
-    """Cluster a descending eigenvalue list; cluster representative is the mean."""
+def group_spectrum(values, group_tol: float):
+    """Cluster a descending eigenvalue list: (cluster means, cluster sizes),
+    in descending order. A cluster is a maximal run whose consecutive gaps
+    are at most group_tol, so adjacent means differ by more than it."""
     if group_tol <= 0:
         raise ValueError("group_tol must be positive")
     vals = list(values)
@@ -117,7 +98,7 @@ def group_spectrum(values, group_tol: float) -> Spectrum:
         reps.append(sum(vals[i:j]) / (j - i))
         mults.append(j - i)
         i = j
-    return Spectrum(tuple(reps), tuple(mults), group_tol)
+    return tuple(reps), tuple(mults)
 
 
 def inertia_float(values, zero_tol: float) -> Inertia:

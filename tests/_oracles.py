@@ -192,11 +192,7 @@ def principal_minor_sum(m: SymMatrix, k: int) -> int:
         raise ValueError("k must lie in 0..n")
     if n > MINOR_ENUM_LIMIT:
         raise ValueError(f"minor enumeration is capped at order {MINOR_ENUM_LIMIT}")
-    rows = m.rows
-    return sum(
-        bareiss_det([[rows[i][j] for j in sub] for i in sub])
-        for sub in itertools.combinations(range(n), k)
-    )
+    return sum(bareiss_det(m.submatrix(sub)) for sub in itertools.combinations(range(n), k))
 
 
 def haynsworth_check(m: SymMatrix, pivot_set) -> bool:
@@ -220,24 +216,34 @@ def pair_block_inertias_by_descartes(d: int, n: int):
     )
 
 
-def schur_by_solve(rows, pivot):
-    """A22 - A21 A11^{-1} A12 by Gauss-Jordan over Fractions, as lists of
-    rows; None when the pivot block A11 is singular."""
-    rest = [i for i in range(len(rows)) if i not in pivot]
+def solve_pivot_block(rows, pivot):
+    """M^-1 A_P: over Fractions by Gauss-Jordan, for the principal block
+    M = A_PP on the index list pivot: rows in pivot order, all columns.
+    None when M is singular."""
     k = len(pivot)
-    aug = [[Fraction(rows[p][q]) for q in pivot + rest] for p in pivot]
-    for col in range(k):
-        r = next((r for r in range(col, k) if aug[r][col]), None)
+    aug = [[Fraction(x) for x in rows[p]] for p in pivot]
+    for t, c in enumerate(pivot):
+        r = next((r for r in range(t, k) if aug[r][c]), None)
         if r is None:
             return None
-        aug[col], aug[r] = aug[r], aug[col]
-        aug[col] = [x / aug[col][col] for x in aug[col]]
+        aug[t], aug[r] = aug[r], aug[t]
+        aug[t] = [x / aug[t][c] for x in aug[t]]
         for r in range(k):
-            if r != col:
-                aug[r] = [a - aug[r][col] * b for a, b in zip(aug[r], aug[col])]
+            if r != t:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[t])]
+    return aug
+
+
+def schur_by_solve(rows, pivot):
+    """A22 - A21 A11^{-1} A12 over Fractions, as lists of rows; None when
+    the pivot block A11 is singular."""
+    solved = solve_pivot_block(rows, pivot)
+    if solved is None:
+        return None
+    rest = [i for i in range(len(rows)) if i not in pivot]
     return [
-        [rows[i][j] - sum(rows[i][p] * aug[t][k + b] for t, p in enumerate(pivot))
-         for b, j in enumerate(rest)]
+        [rows[i][j] - sum(rows[i][p] * solved[t][j] for t, p in enumerate(pivot)) for j in rest]
         for i in rest
     ]
 

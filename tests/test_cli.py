@@ -384,6 +384,11 @@ class TestVerifyCommand:
         _, out, _ = run(capsys, "verify", "--family", "path:5")
         assert "tol" not in json.loads(out.splitlines()[0])["config"]
 
+    def test_samples_need_a_range(self, capsys):
+        code, out, err = run(capsys, "verify", "--family", "star:5", "--samples", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: --samples needs --n-from/--n-to\n"
+
     def test_zero_samples_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--n-from", "9", "--n-to", "9", "--samples", "0"

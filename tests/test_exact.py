@@ -22,6 +22,7 @@ from eccmat.graphs import distance_matrix
 from eccmat.matrices import (
     SymMatrix,
     _bareiss,
+    _gauss_jordan,
     bareiss_det,
     deep_mid_block,
     eccentricity_matrix,
@@ -37,6 +38,7 @@ from _oracles import (
     leibniz_det,
     random_symmetric,
     rational_inertia_by_congruence,
+    solve_pivot_block,
 )
 
 
@@ -139,6 +141,58 @@ def low_rank_symmetric(n, r, rng, lead=0):
             return m
 
 
+def two_by_two_after_one_by_ones():
+    """L B L^T with L unit lower triangular keeps B's leading principal
+    minors 3, -15, 0, 735: two 1 x 1 steps, then a 2 x 2 step on the scaled
+    entry c = -15 * 7, whose second pivot c^2 / -15 divides by a minor other
+    than +-1."""
+    b = [[3, 0, 0, 0, 0], [0, -5, 0, 0, 0], [0, 0, 0, 7, 0], [0, 0, 7, 0, 0], [0, 0, 0, 0, 0]]
+    low = [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [-1, 3, 1, 0, 0], [4, -2, 0, 1, 0], [1, 1, 0, 0, 1]]
+    lb = [[sum(low[i][k] * b[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
+    return SymMatrix([[sum(lb[i][k] * low[j][k] for k in range(5)) for j in range(5)] for i in range(5)])
+
+
+class TestGaussJordanRows:
+    """The pivot rows in fraction-free Gauss-Jordan form must be d M^-1 A_QU,
+    a Fraction solve on the pivot block M = A_QQ, with |d| = |det M|."""
+
+    @staticmethod
+    def agree(rows, x, d, pivots):
+        rest = [c for c in range(len(rows)) if c not in pivots]
+        solved = solve_pivot_block(rows, list(pivots))
+        assert abs(d) == abs(leibniz_det([[rows[a][b] for b in pivots] for a in pivots]))
+        assert x == [[d * row[c] for c in rest] for row in solved]
+
+    def check(self, m):
+        x, d = m.jordan
+        self.agree([list(r) for r in m.rows], x, d, m.pivots)
+
+    def test_random_low_rank(self):
+        rng = random.Random(79)
+        for n in range(2, 11):
+            for r in range(0, n // 2 + 1):
+                self.check(low_rank_symmetric(n, r, rng, lead=rng.randint(0, n - r)))
+
+    def test_trees(self):
+        for n in range(13, 61):
+            self.check(eccentricity_matrix(distance_matrix(pruefer_random(n, f"jordan:{n}"))))
+
+    def test_two_by_two_step_after_one_by_one_steps(self):
+        # rank 4 of order 5 keeps no Jordan rows; the replay still applies
+        m = two_by_two_after_one_by_ones()
+        assert m.jordan is None
+        a = [list(r) for r in m.rows]
+        steps, _, last, _ = _bareiss(a)
+        self.agree([list(r) for r in m.rows], _gauss_jordan(a, steps), last, m.pivots)
+        # padded with zeros to order 10 it has 2r <= n
+        padded = SymMatrix([list(r) + [0] * 5 for r in m.rows] + [[0] * 10] * 5)
+        assert padded.pivots == m.pivots
+        self.check(padded)
+
+    def test_full_rank_keeps_nothing(self):
+        assert TreeFacts(star(9)).matrix.jordan is None
+
+
 class TestLowRankRoute:
     """With 2 rank <= n, char_poly works on the pivot block; it must equal
     full-matrix Berkowitz and Faddeev-LeVerrier."""
@@ -188,7 +242,7 @@ class TestLowRankRoute:
         ]
         m = SymMatrix(rows)
         assert m.pivots == (2, 0)
-        assert bareiss_det(m.submatrix(m.pivots).rows) == -4
+        assert bareiss_det(m.submatrix(m.pivots)) == -4
         self.agree(m)
 
     def test_trees(self):
@@ -259,18 +313,11 @@ class TestInertiaOfMatrix:
             assert self.agree(SymMatrix([[0] * n for _ in range(n)])) == Inertia(0, 0, n)
 
     def test_two_by_two_step_after_one_by_one_steps(self):
-        # L B L^T with L unit lower triangular keeps B's leading principal
-        # minors 3, -15, 0, 735: two 1 x 1 steps, then a 2 x 2 step on the
-        # scaled entry c = -15 * 7, whose second pivot c^2 / -15 divides by
-        # a minor other than +-1
-        b = [[3, 0, 0, 0, 0], [0, -5, 0, 0, 0], [0, 0, 0, 7, 0], [0, 0, 7, 0, 0], [0, 0, 0, 0, 0]]
-        low = [[1, 0, 0, 0, 0], [2, 1, 0, 0, 0], [-1, 3, 1, 0, 0], [4, -2, 0, 1, 0], [1, 1, 0, 0, 1]]
-        lb = [[sum(low[i][k] * b[k][j] for k in range(5)) for j in range(5)] for i in range(5)]
-        m = SymMatrix([[sum(lb[i][k] * low[j][k] for k in range(5)) for j in range(5)] for i in range(5)])
+        m = two_by_two_after_one_by_ones()
         assert all(m.rows[i][i] for i in range(5))
-        rank, cols, sign, last, negative = _bareiss([list(r) for r in m.rows], symmetric=True)
-        assert (rank, cols, negative) == (4, [0, 1, 2, 3], 2)
-        assert sign * last == bareiss_det(m.submatrix(cols).rows) == 3 * -5 * -49
+        steps, sign, last, negative = _bareiss([list(r) for r in m.rows])
+        assert (steps, negative) == ([(0, 0), (1, 1), (3, 2), (2, 3)], 2)
+        assert sign * last == bareiss_det(m.submatrix(m.pivots)) == 3 * -5 * -49
         assert self.agree(m) == Inertia(2, 2, 1)
         assert self.agree(SymMatrix([[2, 2, 2], [2, 2, 5], [2, 5, 2]])) == Inertia(2, 1, 0)
 
@@ -444,8 +491,7 @@ class TestHaynsworth:
         done = 0
         while done < 12:
             m = random_symmetric(6, rng)
-            block = [[m.rows[i][j] for j in (0, 1, 2)] for i in (0, 1, 2)]
-            if bareiss_det(block) == 0:
+            if bareiss_det(m.submatrix((0, 1, 2))) == 0:
                 continue
             assert haynsworth_check(m, [0, 1, 2])
             done += 1
