@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .exact import (
@@ -143,7 +143,7 @@ def _predicted_inertia(f: TreeFacts) -> Inertia:
         return Inertia(1, n - 1, 0)
     if diam % 2 == 1:
         return Inertia(2, 2, n - 4)
-    l = f.meta.distinguished_count
+    l = len(f.meta.distinguished)
     return Inertia(l, l, n - 2 * l)
 
 
@@ -209,24 +209,27 @@ def check_distinct_counts(f: TreeFacts) -> Verdict:
     return _verdict("distinct-count", f.label, expected, computed, passed)
 
 
+def _closed_form_verdict(theorem_id, instance, m, closed_form, ok=True) -> Verdict:
+    """The eigenvalues of m (computed) against the descending closed_form
+    list (expected): passes when ok holds and no eigenvalue is off by more
+    than FLOAT_TOL."""
+    values = eigenvalues_sym(m)
+    err = max(abs(a - b) for a, b in zip(closed_form, values))
+    return _verdict(
+        theorem_id, instance, closed_form, values, ok and err <= FLOAT_TOL,
+        detail=f"max abs error {err:.3e}",
+    )
+
+
 def check_star_spectrum(n: int) -> Verdict:
     """Star spectrum is n-2+s, n-2-s (s = sqrt(n^2-3n+3)), and -2 with
     multiplicity n-2, within FLOAT_TOL per eigenvalue."""
     if n < 3:
         raise ValueError("check_star_spectrum requires n >= 3")
     s = math.sqrt(n * n - 3 * n + 3)
-    expected = [n - 2 + s, n - 2 - s] + [-2.0] * (n - 2)
-    computed = TreeFacts(star(n), f"star:{n}").eigenvalues
-    err = max(abs(a - b) for a, b in zip(expected, computed))
-    passed = err <= FLOAT_TOL
-    return _verdict(
-        "star-spectrum",
-        f"star:{n}",
-        expected,
-        computed,
-        passed,
-        detail=f"max abs error {err:.3e}",
-    )
+    closed_form = [n - 2 + s, n - 2 - s] + [-2.0] * (n - 2)
+    m = eccentricity_matrix(distance_matrix(star(n)))
+    return _closed_form_verdict("star-spectrum", f"star:{n}", m, closed_form)
 
 
 def min_radius_bound(n: int) -> float:
@@ -414,32 +417,22 @@ def check_diametrical(g: Graph, label: str | None = None) -> Verdict:
     """A diametrical graph's eccentricity matrix is a scaled symmetric
     permutation with spectrum +diam and -diam, each of multiplicity n/2."""
     dist = distance_matrix(g)
-    pairing = diametrical_pairing(g, dist)
+    pairing = diametrical_pairing(dist)
     if pairing is None:
         raise ValueError("graph is not diametrical")
     instance = label if label is not None else f"diametrical:n={g.n}"
-    diam = max(max(row) for row in dist.rows)
     m = eccentricity_matrix(dist)
-    structure_ok = all(pairing[pairing[v]] == v for v in pairing)
-    for u in range(g.n):
-        for v in range(g.n):
-            want = diam if pairing[u] == v else 0
-            if m.rows[u][v] != want:
-                structure_ok = False
-    k = g.n // 2
-    values = eigenvalues_sym(m)
-    expected_vals = [float(diam)] * k + [float(-diam)] * k
-    err = max(abs(a - b) for a, b in zip(expected_vals, values))
-    expected = {"paired_form": True, "spectrum": expected_vals}
-    computed = {"paired_form": structure_ok, "spectrum": values}
-    passed = structure_ok and err <= FLOAT_TOL
-    return _verdict(
-        "diametrical-spectrum",
-        instance,
-        expected,
-        computed,
-        passed,
-        detail=f"max abs error {err:.3e}",
+    # the diametral pairs keep their entries, so the largest is the diameter
+    diam = m.max_abs()
+    paired = all(pairing[pairing[v]] == v for v in pairing) and all(
+        m.rows[u][v] == (diam if pairing[u] == v else 0) for u in range(g.n) for v in range(g.n)
+    )
+    closed_form = [float(diam)] * (g.n // 2) + [float(-diam)] * (g.n // 2)
+    verdict = _closed_form_verdict("diametrical-spectrum", instance, m, closed_form, ok=paired)
+    return replace(
+        verdict,
+        expected={"paired_form": True, "spectrum": closed_form},
+        computed={"paired_form": paired, "spectrum": verdict.computed},
     )
 
 
@@ -457,27 +450,11 @@ def check_odd_core_eigenvalues(d: int) -> Verdict:
     +-(sqrt((2d+1)^2 + 16 d^2) +- (2d+1)) / 2."""
     if d < 1:
         raise ValueError("check_odd_core_eigenvalues requires d >= 1")
-    m = odd_diameter_core(d)
     root = math.sqrt((2 * d + 1) ** 2 + 16 * d * d)
-    expected = sorted(
-        [
-            (root + (2 * d + 1)) / 2,
-            (root - (2 * d + 1)) / 2,
-            -(root - (2 * d + 1)) / 2,
-            -(root + (2 * d + 1)) / 2,
-        ],
-        reverse=True,
-    )
-    computed = eigenvalues_sym(m)
-    err = max(abs(a - b) for a, b in zip(expected, computed))
-    return _verdict(
-        "odd-core-eigenvalues",
-        f"odd-core:d={d}",
-        expected,
-        computed,
-        err <= FLOAT_TOL,
-        detail=f"max abs error {err:.3e}",
-    )
+    plus, minus = (root + (2 * d + 1)) / 2, (root - (2 * d + 1)) / 2
+    # root > 2d+1, so the list is descending
+    closed_form = [plus, minus, -minus, -plus]
+    return _closed_form_verdict("odd-core-eigenvalues", f"odd-core:d={d}", odd_diameter_core(d), closed_form)
 
 
 def tree_checks(f: TreeFacts) -> list:

@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"random trees per order (default: exhaustive for n <= "
             f"{EXHAUSTIVE_LIMIT}, else {DEFAULT_SAMPLES})",
         )
-        p.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+        p.add_argument("--seed", type=int, help="base seed of the random trees (default 0)")
 
     def add_output(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -206,6 +206,7 @@ def _validate_range(args) -> None:
         raise ValueError(f"--n-to must be at most {MAX_ORDER}")
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    args.seed = 0 if args.seed is None else args.seed
 
 
 def _fixed_battery():
@@ -274,8 +275,11 @@ def _range_verdicts(args):
 
 
 def cmd_verify(args) -> int:
-    _validate_range(args)
     single = args.family or args.input
+    # before _validate_range resolves an absent seed to 0
+    if single and args.n_from is None and args.seed is not None:
+        raise ValueError("--seed needs --n-from/--n-to")
+    _validate_range(args)
     if bool(single) == (args.n_from is not None):
         raise ValueError("verify needs either --family/--input or --n-from/--n-to")
     if single and args.samples is not None:

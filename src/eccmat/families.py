@@ -98,7 +98,7 @@ def pruefer_random(n: int, seed) -> Tree:
     """Seed-deterministic uniform random labeled tree on n vertices."""
     if n < 2:
         raise ValueError("pruefer_random requires n >= 2")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
+    rng = random.Random(seed)
     return pruefer_decode(rng.randrange(n) for _ in range(n - 2))
 
 

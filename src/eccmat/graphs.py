@@ -117,8 +117,7 @@ class TreeMeta:
     center is keyed by itself), for odd diameter the nearer of the two
     centers. distinguished holds, for even diameter, the branches that
     reach depth diameter/2, i.e. the center's neighbors on some diametrical
-    path; distinguished_count is its size. For odd diameter the set is
-    empty and the count is None.
+    path. For odd diameter the set is empty.
     """
 
     ecc: tuple
@@ -126,7 +125,6 @@ class TreeMeta:
     centers: tuple
     branch: tuple
     distinguished: frozenset
-    distinguished_count: int | None
 
 
 def tree_meta(t: Tree, dist: SymMatrix) -> TreeMeta:
@@ -157,21 +155,21 @@ def tree_meta(t: Tree, dist: SymMatrix) -> TreeMeta:
                 branch[w] = branch[u]
                 stack.append(w)
     if odd:
-        return TreeMeta(ecc, diameter, centers, tuple(branch), frozenset(), None)
+        return TreeMeta(ecc, diameter, centers, tuple(branch), frozenset())
     d = diameter // 2
     row0 = dist.rows[u0]
     # a lone vertex (d = 0) has no branches
     distinguished = frozenset(branch[w] for w in range(t.n) if row0[w] == d) if d else frozenset()
-    return TreeMeta(ecc, diameter, centers, tuple(branch), distinguished, len(distinguished))
+    return TreeMeta(ecc, diameter, centers, tuple(branch), distinguished)
 
 
-def diametrical_pairing(g: Graph, dist: SymMatrix):
+def diametrical_pairing(dist: SymMatrix):
     """The involution pairing each vertex with its unique diametral partner,
     or None when some vertex has zero or several partners."""
     diameter = max(max(row) for row in dist.rows)
     pairing = {}
-    for v in range(g.n):
-        partners = [w for w in range(g.n) if dist.rows[v][w] == diameter]
+    for v in range(dist.n):
+        partners = [w for w in range(dist.n) if dist.rows[v][w] == diameter]
         if len(partners) != 1:
             return None
         pairing[v] = partners[0]

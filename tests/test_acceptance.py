@@ -93,7 +93,7 @@ def _run_battery(instances, check_leverrier_upto: int):
             coeffs, zeros = facts.poly.stripped()
             if facts.meta.diameter >= 4:
                 low_ok = (
-                    zeros == t.n - 2 * facts.meta.distinguished_count
+                    zeros == t.n - 2 * len(facts.meta.distinguished)
                     and len(coeffs) >= 2
                     and coeffs[-2] != 0
                 )

@@ -333,6 +333,33 @@ class TestBlockStructure:
         assert v.detail == "entry (0,1) = 1, predicted 0"
 
 
+class TestClosedFormVerdict:
+    SWAP = SymMatrix([[0, 1], [1, 0]])  # eigenvalues 1, -1
+
+    def test_match_passes(self):
+        v = checks._closed_form_verdict("t", "swap", self.SWAP, [1.0, -1.0])
+        assert v.passed
+        assert v.expected == [1.0, -1.0] and v.detail.startswith("max abs error")
+
+    def test_off_by_twice_the_tolerance_fails(self):
+        v = checks._closed_form_verdict("t", "swap", self.SWAP, [1.0 + 2 * FLOAT_TOL, -1.0])
+        assert not v.passed
+        assert v.detail == f"max abs error {2 * FLOAT_TOL:.3e}"
+
+    def test_not_ok_fails_on_a_matching_spectrum(self):
+        v = checks._closed_form_verdict("t", "swap", self.SWAP, [1.0, -1.0], ok=False)
+        assert not v.passed
+        assert v.detail.startswith("max abs error")
+
+    def test_diametrical_pairing_mismatch_fails(self, monkeypatch):
+        # pair each vertex of cycle:6 with its neighbor instead of its antipode
+        monkeypatch.setattr(checks, "diametrical_pairing", lambda dist: {v: v ^ 1 for v in range(dist.n)})
+        v = check_diametrical(cycle(6))
+        assert not v.passed
+        assert v.expected["paired_form"] is True and v.computed["paired_form"] is False
+        assert v.computed["spectrum"] == pytest.approx(v.expected["spectrum"])
+
+
 class TestDiametrical:
     def test_examples_pass(self):
         for g in diametrical_examples():

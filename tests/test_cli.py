@@ -389,6 +389,12 @@ class TestVerifyCommand:
         assert (code, out) == (2, "")
         assert err == "error: --samples needs --n-from/--n-to\n"
 
+    def test_seed_needs_a_range(self, capsys):
+        for seed in ("5", "0"):
+            code, out, err = run(capsys, "verify", "--family", "star:5", "--seed", seed)
+            assert (code, out) == (2, "")
+            assert err == "error: --seed needs --n-from/--n-to\n"
+
     def test_zero_samples_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--n-from", "9", "--n-to", "9", "--samples", "0"
@@ -524,19 +530,32 @@ GOLDEN_DIGESTS = {
     "cocktail:3": "3d193ef2b61834fbb6562fa4f7057f945cba37ca4fd7055f0680a13c6691ee83",
     "hypercube:5": "5c057409a76de4cc758be6570305582cedea974d362d6794e9ce0e96cc55460d",
     "star:37": "8ad6d025b4d8657ad52e6ef8ddfe4e1f5d44aae9cd54ebe7075734e4a84cbc04",
+    "verify --family cycle:6": "2ca42d82222a7fcc2f74264e29d9b89bb7056e03d1461f5780d27d7e958e475e",
+    "verify --family hypercube:3": "7a82e7bd07fb35e4fd2a23422b52706112bb31cb93d5dd9b1ecbec4c235ce795",
+    "verify --family tndab:10,3,0,6": "1cba2f1b0c3709b375352d09eafc0e96e9d241059384a3e1d727c1072de4a28f",
+    "verify --family path:4 --corrupt": "cd8ac9cbd8cc3456c5c465a0dc7cdfbf47a170c8502aab46818102ad14a1587e",
+}
+
+# Exit code and stderr sha256 of the golden runs that fail; every other
+# run exits 0 with nothing on stderr.
+GOLDEN_FAILURES = {
+    "verify --family path:4 --corrupt": (1, "cc70d533f303c58049a7eca37cfdd17ce45f6ed386e1168f68696ea21ce930fb"),
 }
 
 
 def test_golden_output_digests(capsys):
-    def stdout(argv):
+    quiet = (0, hashlib.sha256(b"").hexdigest())
+
+    def stdout(argv, status=quiet):
         code, out, err = run(capsys, *argv)
-        assert code == 0 and err == "", argv
+        assert (code, hashlib.sha256(err.encode()).hexdigest()) == status, argv
         return out.encode()
 
     got = {}
     for key in GOLDEN_DIGESTS:
         if " " in key:
-            got[key] = hashlib.sha256(stdout(key.split())).hexdigest()
+            out = stdout(key.split(), GOLDEN_FAILURES.get(key, quiet))
+            got[key] = hashlib.sha256(out).hexdigest()
             continue
         h = hashlib.sha256()
         for command in ("spectrum", "inertia"):

@@ -99,7 +99,6 @@ class TestTreeMeta:
         meta = tree_meta(t, distance_matrix(t))
         assert meta.diameter == 5
         assert meta.centers == (2, 3)
-        assert meta.distinguished_count is None
         assert meta.distinguished == frozenset()
 
     def test_path_even_diameter_single_center(self):
@@ -108,7 +107,6 @@ class TestTreeMeta:
         assert meta.diameter == 4
         assert meta.centers == (2,)
         assert meta.distinguished == {1, 3}
-        assert meta.distinguished_count == 2
 
     def test_star_center_and_no_distinguished(self):
         t = star(7)
@@ -117,7 +115,6 @@ class TestTreeMeta:
         assert meta.centers == (0,)
         # with diameter 2 every leaf lies on a longest path
         assert meta.distinguished == frozenset(range(1, 7))
-        assert meta.distinguished_count == 6
 
     def test_eccentricities_are_row_maxima(self):
         t = pruefer_random(12, "meta:ecc")
@@ -191,7 +188,7 @@ class TestDiametricalPairing:
     @pytest.mark.parametrize("g,expect_diam", [(cycle(4), 2), (cycle(6), 3), (hypercube(3), 3), (cocktail_party(3), 2)])
     def test_examples_have_involutive_pairing(self, g, expect_diam):
         dist = distance_matrix(g)
-        pairing = diametrical_pairing(g, dist)
+        pairing = diametrical_pairing(dist)
         assert pairing is not None
         assert max(max(r) for r in dist.rows) == expect_diam
         for v, w in pairing.items():
@@ -200,11 +197,11 @@ class TestDiametricalPairing:
 
     def test_path_has_no_pairing(self):
         t = path(4)
-        assert diametrical_pairing(t, distance_matrix(t)) is None
+        assert diametrical_pairing(distance_matrix(t)) is None
 
     def test_odd_cycle_has_no_pairing(self):
         g = cycle(5)
-        assert diametrical_pairing(g, distance_matrix(g)) is None
+        assert diametrical_pairing(distance_matrix(g)) is None
 
 
 class TestEdgeListFormat:
