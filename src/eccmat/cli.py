@@ -29,7 +29,7 @@ from .families import (
     parse_family,
     pruefer_random,
 )
-from .graphs import MAX_ORDER, Graph, Tree, distance_matrix, read_graph, to_edge_list
+from .graphs import MAX_INPUT_BYTES, MAX_ORDER, Graph, Tree, distance_matrix, read_graph, to_edge_list
 from .matrices import eccentricity_matrix
 from .spectra import default_group_tol, eigenvalues_sym, group_spectrum
 
@@ -100,8 +100,11 @@ def _load_graph(args) -> tuple[Graph, str]:
     if args.family:
         return parse_family(args.family), args.family
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return read_graph(fh.read()), f"input:{args.input}"
+        with open(args.input, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
+        if len(data) > MAX_INPUT_BYTES:
+            raise ValueError(f"input exceeds the limit of {MAX_INPUT_BYTES} bytes")
+        return read_graph(data.decode("utf-8")), f"input:{args.input}"
     except ValueError as exc:  # a parse error, or UnicodeDecodeError
         raise ValueError(f"{args.input}: {exc}") from None
 
@@ -206,6 +209,10 @@ def _validate_range(args) -> None:
         raise ValueError(f"--n-to must be at most {MAX_ORDER}")
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    # a range enumerated at every order draws nothing random
+    enumerated = args.samples is None and args.n_to is not None and args.n_to <= EXHAUSTIVE_LIMIT
+    if enumerated and args.seed is not None:
+        raise ValueError(f"--seed needs --samples: every order up to {EXHAUSTIVE_LIMIT} is enumerated")
     args.seed = 0 if args.seed is None else args.seed
 
 

@@ -2,7 +2,7 @@
 
 char_poly takes a symmetric integer matrix (SymMatrix holds ints only; a
 Schur complement comes as a positive integer multiple with the same
-inertia). It has two routes, both in Python big integers, and picks one
+inertia). It has three routes, all in Python big integers, and picks one
 from the rank r that the matrix's fraction-free elimination gives
 (SymMatrix.pivots):
 
@@ -14,12 +14,20 @@ from the rank r that the matrix's fraction-free elimination gives
   B = d M^-1 G = d A_QQ + X A_UQ needs no second elimination. Berkowitz
   runs on the r x r matrix B and its k-th coefficient is divided by d^k,
   a nonzero remainder raising ArithmeticError.
-- 2r > n (stars, spiders, diametrical graphs): the division-free Berkowitz
-  recurrence on the whole matrix, its matrix-vector products running over
-  each row's nonzero entries.
+- 2r > n with an integer c for which A - cI has at most n/2 distinct rows,
+  the shifted low-rank route (stars: c = -2; diametrical graphs: c = -diam).
+  That many rows bound the rank of A - cI by n/2, so the low-rank route
+  gives q = p_(A-cI), and p_A(x) = q(x - c) by an exact Taylor shift. The
+  candidate c comes from twins, rows u and v of A that agree off {u, v}
+  with a_uu = a_vv: their rows of A - cI are equal for c = a_uu - a_uv.
+- otherwise (spiders, odd cycles): the division-free Berkowitz recurrence
+  on the whole matrix, its matrix-vector products running over each row's
+  nonzero entries.
 
+Any c gives the same polynomial, so the choice of route affects speed only.
 The tests hold a Faddeev-LeVerrier implementation as an independent second
-route, and check both routes against it and against each other.
+route, and check every route against it and against Berkowitz on the whole
+matrix.
 
 Inertia has two exact routes. inertia_of_matrix reads the signs of the
 leading principal minors along the matrix's symmetric elimination
@@ -102,16 +110,10 @@ def _berkowitz(a):
     return poly
 
 
-def char_poly(m: SymMatrix) -> CharPoly:
-    """Exact characteristic polynomial of a symmetric integer matrix.
-
-    With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
-    block M = A_QQ, G = A_Q: A_:Q; otherwise Berkowitz runs on the whole
-    matrix.
-    """
+def _low_rank(m: SymMatrix):
+    """Coefficients of p_A for a matrix of rank r with 2r <= n, from
+    x^(n-r) det(xI - M^-1 G), M = A_QQ the pivot block and G = A_Q: A_:Q."""
     a, pivots = m.rows, m.pivots
-    if 2 * len(pivots) > m.n:
-        return CharPoly(tuple(_berkowitz(a)))
     # M^-1 G = M + M^-1 A_QU A_UQ, so B = d M^-1 G = d A_QQ + X A_UQ
     x, d = m.jordan
     pivoted = set(pivots)
@@ -128,7 +130,65 @@ def char_poly(m: SymMatrix) -> CharPoly:
             raise ArithmeticError("low-rank coefficient is not divisible by the pivot power")
         coeffs.append(q)
         scale *= d
-    return CharPoly(tuple(coeffs) + (0,) * (m.n - len(pivots)))
+    return coeffs + [0] * (m.n - len(pivots))
+
+
+def _twin_shift(a):
+    """(c, rows of A - cI) for an integer c at which A - cI has at most n/2
+    distinct rows, or None.
+
+    Twins share the key (a_uu, sorted row), so only a key held by more than
+    n/2 rows can give c; its first row u and the first other row v with
+    a_uv != 0 (else the second) propose c = a_uu - a_uv, and the rows of
+    A - cI certify it. The row sums, which twins share too, rule most
+    matrices out before any sort.
+    """
+    n = len(a)
+    sums = list(map(sum, a))
+    top = max(set(sums), key=sums.count)
+    if 2 * sums.count(top) <= n:
+        return None
+    groups = {}
+    for u, row in enumerate(a):
+        if sums[u] == top:
+            groups.setdefault((row[u], *sorted(row)), []).append(u)
+    group = max(groups.values(), key=len)
+    if 2 * len(group) <= n or len(group) < 2:
+        return None
+    u = group[0]
+    v = next((v for v in group[1:] if a[u][v]), group[1])
+    c = a[u][u] - a[u][v]
+    rows = [row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(a)]
+    if 2 * len(set(rows)) > n:
+        return None
+    return c, rows
+
+
+def _taylor_shift(q, c):
+    """Coefficients of q(x - c), highest degree first, by Horner's rule."""
+    p = []
+    for k in q:
+        # p <- p (x - c) + k
+        p = [s - c * t for s, t in zip(p + [0], [0] + p)]
+        p[-1] += k
+    return p
+
+
+def char_poly(m: SymMatrix) -> CharPoly:
+    """Exact characteristic polynomial of a symmetric integer matrix.
+
+    With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
+    block M = A_QQ, G = A_Q: A_:Q; otherwise the same from A - cI, shifted
+    back, for an integer c that twin rows propose and the distinct rows of
+    A - cI certify; failing that, Berkowitz runs on the whole matrix.
+    """
+    if 2 * len(m.pivots) <= m.n:
+        return CharPoly(tuple(_low_rank(m)))
+    shift = _twin_shift(m.rows)
+    if shift is None:
+        return CharPoly(tuple(_berkowitz(m.rows)))
+    c, rows = shift
+    return CharPoly(tuple(_taylor_shift(_low_rank(SymMatrix(rows)), c)))
 
 
 def inertia_exact(p: CharPoly) -> Inertia:

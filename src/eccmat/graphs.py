@@ -15,9 +15,13 @@ from .matrices import SymMatrix
 # Largest graph order accepted from input. Family tokens, edge-list and
 # graph6 headers and tree ranges above it are rejected before anything is
 # built: a distance matrix on 1024 vertices already holds a million entries,
-# and a full-rank characteristic polynomial (stars, diametrical graphs)
-# still costs n^4.
+# and a characteristic polynomial that no low-rank route reaches (spiders,
+# odd cycles) still costs n^4.
 MAX_ORDER = 1024
+
+# Largest --input file read, in bytes. An edge list of the complete graph at
+# MAX_ORDER, 523,776 edge lines, takes about 5.3 MB.
+MAX_INPUT_BYTES = 8 << 20
 
 
 class Graph:
@@ -190,7 +194,7 @@ def read_graph(text: str) -> Graph:
         raise ValueError("empty input")
     head = lines[0].split()
     if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
-        return read_edge_list(text)
+        return _parse_edge_list(lines)
     if len(lines) > 1:
         raise ValueError(f"graph6 input must hold one graph; found {len(lines)} data lines")
     return read_graph6(lines[0])
@@ -198,7 +202,11 @@ def read_graph(text: str) -> Graph:
 
 def read_edge_list(text: str) -> Graph:
     """Parse the "n m" header plus m "u v" lines into a Graph."""
-    lines = _data_lines(text)
+    return _parse_edge_list(_data_lines(text))
+
+
+def _parse_edge_list(lines) -> Graph:
+    """An edge list's Graph from its data lines (_data_lines)."""
     if not lines:
         raise ValueError("empty edge list")
     head = lines[0].split()

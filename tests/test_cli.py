@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import pytest
 import eccmat.cli
 from eccmat import __version__
 from eccmat.cli import main
-from eccmat.families import path
-from eccmat.graphs import MAX_ORDER
+from eccmat.families import parse_family, path
+from eccmat.graphs import MAX_INPUT_BYTES, MAX_ORDER, to_edge_list
 
 from _oracles import graph6_order, to_graph6
 
@@ -196,11 +197,65 @@ class TestInputFiles:
         code, _, err = run(capsys, "spectrum", "--input", str(f))
         assert code == 2 and "error:" in err
 
+    def test_input_size_cap(self, capsys, tmp_path):
+        f = tmp_path / "big.txt"
+        # one comment line of exactly the cap is read, and holds no graph
+        f.write_bytes(b"#" * (MAX_INPUT_BYTES - 1) + b"\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert (code, out, err) == (2, "", f"error: {f}: empty input\n")
+        # one byte more is refused before it is parsed
+        with open(f, "ab") as fh:
+            fh.write(b"\n")
+        assert f.stat().st_size == MAX_INPUT_BYTES + 1
+        for command in ("inertia", "spectrum", "verify"):
+            code, out, err = run(capsys, command, "--input", str(f))
+            assert (code, out) == (2, "")
+            assert err == f"error: {f}: input exceeds the limit of {MAX_INPUT_BYTES} bytes\n"
+
     def test_empty_file(self, capsys, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("\n")
         code, _, err = run(capsys, "spectrum", "--input", str(f))
         assert code == 2 and "error:" in err
+
+
+def mutate(data: bytes, rng) -> bytes:
+    """data after one to three random byte or line edits."""
+    alphabet = b"0123456789 -#\n\r\t~?@_A^z\x00\xff"
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(data) + 1)
+        lines = data.split(b"\n")
+        line = rng.randrange(len(lines))
+        data = rng.choice((
+            lambda: data[:pos] + bytes([rng.choice(alphabet)]) + data[pos + 1:],
+            lambda: data[:pos] + bytes([rng.choice(alphabet)]) + data[pos:],
+            lambda: data[:pos] + data[pos + 1:],
+            lambda: data[:pos],
+            lambda: b"\n".join(lines[:line] + [lines[line]] + lines[line:]),
+            lambda: b"\n".join(lines[:line] + lines[line + 1:]),
+            lambda: b"\n".join(rng.sample(lines, len(lines))),
+        ))()
+    return data
+
+
+def test_mutated_input_files_exit_cleanly(capsys, tmp_path):
+    """Seeded random edits of valid edge-list and graph6 files: every
+    command exits 0 or 2, writes nothing on stdout when it exits 2, and
+    raises nothing."""
+    graphs = [parse_family(t) for t in ("path:5", "star:6", "spider:3,2", "cycle:6", "hypercube:3")]
+    seeds = [to_edge_list(g).encode() + b"\n" for g in graphs]
+    seeds += [to_graph6(g).encode() + b"\n" for g in graphs]
+    rng = random.Random(11)
+    f = tmp_path / "fuzz.txt"
+    codes = []
+    for case in range(300):
+        f.write_bytes(mutate(rng.choice(seeds), rng))
+        for command in ("inertia", "spectrum", "verify"):
+            code, out, _ = run(capsys, command, "--input", str(f))
+            assert code in (0, 2), (case, f.read_bytes(), command)
+            assert code == 0 or out == "", (case, f.read_bytes(), command)
+            codes.append(code)
+    assert codes.count(0) >= 100 and codes.count(2) >= 300
 
 
 class TestArgumentErrors:
@@ -395,6 +450,23 @@ class TestVerifyCommand:
             assert (code, out) == (2, "")
             assert err == "error: --seed needs --n-from/--n-to\n"
 
+    def test_seed_needs_samples_on_an_enumerated_range(self, capsys):
+        for command in ("verify", "sweep"):
+            for seed in ("5", "0"):
+                code, out, err = run(capsys, command, "--n-from", "2", "--n-to", "4", "--seed", seed)
+                assert (code, out) == (2, ""), command
+                assert err == "error: --seed needs --samples: every order up to 8 is enumerated\n"
+            # without --seed the header still echoes seed 0
+            code, out, _ = run(capsys, command, "--n-from", "2", "--n-to", "4")
+            header = out.splitlines()[0] if command == "verify" else out
+            assert code == 0 and json.loads(header)["config"]["seed"] == 0
+            # --samples draws random trees at every order
+            code, _, err = run(capsys, command, "--n-from", "2", "--n-to", "4", "--samples", "1", "--seed", "5")
+            assert (code, err) == (0, ""), command
+        # so does an order above 8 without it
+        code, out, err = run(capsys, "sweep", "--n-from", "9", "--n-to", "9", "--seed", "5")
+        assert (code, err) == (0, "") and json.loads(out)["config"]["seed"] == 5
+
     def test_zero_samples_rejected(self, capsys):
         code, _, err = run(
             capsys, "verify", "--n-from", "9", "--n-to", "9", "--samples", "0"
@@ -513,7 +585,10 @@ class TestSweepCommand:
 # recorded again when verify stopped echoing the tolerance flags it never
 # used; only their header line changed. The eight graph keys were
 # recorded again when spectrum lost --tol and --group-tol; only the two
-# config keys left its reports. A key with a space is a
+# config keys left its reports. Since the shifted low-rank characteristic
+# polynomial, star:37 and hypercube:5 cover that route (c = -2 and c = -5)
+# and spider:3,2 covers Berkowitz on the whole matrix; their digests did
+# not change. A key with a space is a
 # command line; the eight reports of one graph are hashed together, in the
 # loop order below.
 GOLDEN_DIGESTS = {

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -252,12 +253,158 @@ class TestLowRankRoute:
             self.agree(m)
 
     def test_berkowitz_runs_on_the_pivot_block(self, monkeypatch):
-        sizes = []
-        real = exact._berkowitz
-        monkeypatch.setattr(exact, "_berkowitz", lambda a: sizes.append(len(a)) or real(a))
+        # path:9 has rank 4; star:9 is shifted by c = -2 to rank 2; spider:3,2
+        # (rank 6 of order 7) has no shift and runs on the whole matrix
+        sizes = berkowitz_sizes(monkeypatch)
         char_poly(TreeFacts(path(9)).matrix)
         char_poly(TreeFacts(star(9)).matrix)
-        assert sizes == [4, 9]
+        char_poly(TreeFacts(parse_family("spider:3,2")).matrix)
+        assert sizes == [4, 2, 7]
+
+
+def poly_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
+def berkowitz_sizes(monkeypatch):
+    """The orders of the matrices exact._berkowitz runs on from now on."""
+    sizes = []
+    real = exact._berkowitz
+    monkeypatch.setattr(exact, "_berkowitz", lambda a: sizes.append(len(a)) or real(a))
+    return sizes
+
+
+def planted_twins(n, k, c, rng, w=2):
+    """A random symmetric n x n matrix whose rows on a random k-set are
+    equal in A - cI: they agree off the set, hold w between each other and
+    w + c on the diagonal."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+    twins = set(rng.sample(range(n), k))
+    border = [rng.randint(-4, 4) for _ in range(n)]
+    for u in twins:
+        for j in range(n):
+            rows[u][j] = rows[j][u] = (w + c * (u == j)) if j in twins else border[j]
+    return SymMatrix(rows)
+
+
+class TestShiftedRoute:
+    """With 2 rank > n and an integer c at which A - cI has at most n/2
+    distinct rows, char_poly shifts the low-rank polynomial of A - cI back
+    by c; it must equal full-matrix Berkowitz and Faddeev-LeVerrier."""
+
+    @staticmethod
+    def agree(m):
+        p = char_poly(m).coeffs
+        assert p == tuple(exact._berkowitz(m.rows))
+        assert p == char_poly_leverrier(m).coeffs
+        return p
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [f"cycle:{n}" for n in range(4, 41, 2)],
+            [f"cocktail:{k}" for k in range(2, 25)],
+            [f"hypercube:{d}" for d in range(1, 7)],
+        ],
+        ids=["even-cycles", "cocktails", "hypercubes"],
+    )
+    def test_diametrical_graphs(self, monkeypatch, tokens):
+        # the shift is minus the diameter, the largest entry
+        for token in tokens:
+            m = eccentricity_matrix(distance_matrix(parse_family(token)))
+            assert 2 * rank_exact(m) > m.n
+            assert exact._twin_shift(m.rows)[0] == -m.max_abs(), token
+            sizes = berkowitz_sizes(monkeypatch)
+            self.agree(m)
+            assert 2 * sizes[0] <= m.n, token
+
+    def test_stars(self, monkeypatch):
+        # Faddeev-LeVerrier grows as n^5 in Python; past n = 40 the closed
+        # form (x^2 - 2(n-2)x - (n-1)) (x+2)^(n-2) is the second route
+        for n in range(2, 61):
+            m = TreeFacts(star(n)).matrix
+            sizes = berkowitz_sizes(monkeypatch)
+            p = char_poly(m).coeffs
+            assert p == tuple(exact._berkowitz(m.rows)), n
+            binomial = [comb(n - 2, i) * 2**i for i in range(n - 1)]
+            assert p == tuple(poly_mul([1, -2 * (n - 2), -(n - 1)], binomial)), n
+            if n <= 40:
+                assert p == char_poly_leverrier(m).coeffs, n
+            # star:2 is K2, shifted by -1 to rank 1; star:3 (path:3) is not
+            # shifted; from star:4 on c = -2 leaves rank 2
+            assert sizes[0] == (1 if n == 2 else 3 if n == 3 else 2), n
+
+    def test_planted_twins(self, monkeypatch):
+        rng = random.Random(97)
+        shifted = 0
+        for n in range(2, 13):
+            for k in range(2, n + 1):
+                for c in (-5, -1, 1, 3):
+                    m = planted_twins(n, k, c, rng)
+                    sizes = berkowitz_sizes(monkeypatch)
+                    self.agree(m)
+                    shifted += 2 * sizes[0] <= n < 2 * rank_exact(m)
+        assert shifted >= 100
+
+    def test_one_by_one_falls_back(self, monkeypatch):
+        sizes = berkowitz_sizes(monkeypatch)
+        assert char_poly(SymMatrix([[7]])).coeffs == (1, -7)
+        assert sizes == [1]
+
+    def test_two_by_two(self, monkeypatch):
+        # equal diagonal: c = 3 - 5 leaves the rank-1 matrix 5J
+        sizes = berkowitz_sizes(monkeypatch)
+        assert self.agree(SymMatrix([[3, 5], [5, 3]])) == (1, -6, -16)
+        assert sizes[0] == 1
+        # unequal diagonal: no twins
+        sizes = berkowitz_sizes(monkeypatch)
+        assert self.agree(SymMatrix([[3, 5], [5, 4]])) == (1, -7, -13)
+        assert sizes[0] == 2
+
+    @pytest.mark.parametrize("n", [8, 9, 10, 11])
+    def test_twin_class_at_the_threshold(self, monkeypatch, n):
+        # k twins leave n - k + 1 distinct rows in A - cI, certified when
+        # 2(n - k + 1) <= n. k = n // 2 fails the key count; for odd n,
+        # k = n // 2 + 1 passes it but leaves one distinct row too many.
+        rng = random.Random(n)
+        for k, certified in ((n // 2, False), (n // 2 + 1, n % 2 == 0), (n - n // 2 + 1, True)):
+            for c in (-3, 2):
+                m = planted_twins(n, k, c, rng)
+                assert 2 * rank_exact(m) > n
+                sizes = berkowitz_sizes(monkeypatch)
+                self.agree(m)
+                assert (sizes[0] < n) == certified, (k, c)
+
+    def test_zero_shift_candidate_falls_back(self, monkeypatch):
+        # five equal rows of A (c = 0) among nine: A has five distinct rows,
+        # so A - 0I does not certify a shift
+        rng = random.Random(3)
+        m = planted_twins(9, 5, 0, rng)
+        assert rank_exact(m) == 5
+        assert exact._twin_shift(m.rows) is None
+        sizes = berkowitz_sizes(monkeypatch)
+        self.agree(m)
+        assert sizes[0] == 9
+
+    def test_spiders_and_odd_cycles_fall_back(self):
+        for token in ["spider:3,2", "spider:8,2", "cycle:5", "cycle:9", "cycle:15"]:
+            m = eccentricity_matrix(distance_matrix(parse_family(token)))
+            assert 2 * rank_exact(m) > m.n
+            assert exact._twin_shift(m.rows) is None, token
+            self.agree(m)
+
+    def test_taylor_shift(self):
+        # q(x) = x^2 - 1 shifted by c = 2 is (x - 2)^2 - 1 = x^2 - 4x + 3
+        assert exact._taylor_shift([1, 0, -1], 2) == [1, -4, 3]
+        assert exact._taylor_shift([1, 0, 0, 0], -1) == [1, 3, 3, 1]
+        assert exact._taylor_shift([1], 5) == [1]
 
 
 class TestInertiaExact:
