@@ -31,7 +31,7 @@ from .families import (
 )
 from .graphs import MAX_INPUT_BYTES, MAX_ORDER, Graph, Tree, distance_matrix, read_graph, to_edge_list
 from .matrices import eccentricity_matrix
-from .spectra import default_group_tol, eigenvalues_sym, group_spectrum
+from .spectra import eigenvalues_sym, group_spectrum
 
 DEFAULT_SAMPLES = 500
 EXHAUSTIVE_LIMIT = 8
@@ -156,7 +156,9 @@ def cmd_report(args) -> int:
     if full:
         poly = char_poly(matrix)
         values = eigenvalues_sym(matrix)
-        means, multiplicities = group_spectrum(values, default_group_tol(matrix))
+        # the exact count decides how many runs; the floats, where they split
+        distinct = distinct_count_exact(poly)
+        means, multiplicities = group_spectrum(values, distinct)
         report.update({
             "char_poly": poly.to_json(),
             "inertia": list(inertia),
@@ -167,7 +169,7 @@ def cmd_report(args) -> int:
             },
             "spectral_radius": values[0],
             "least_eigenvalue": values[-1],
-            "distinct_count": distinct_count_exact(poly),
+            "distinct_count": distinct,
             "symmetric": spectrum_symmetric_exact(poly),
         })
     else:

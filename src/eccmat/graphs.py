@@ -8,6 +8,7 @@ re-check them. Trees additionally carry the n-1 edge invariant.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .matrices import SymMatrix
@@ -180,55 +181,61 @@ def diametrical_pairing(dist: SymMatrix):
     return pairing
 
 
+# str.splitlines' line boundaries, where _data_lines ends its text blocks
+_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+
+
 def _data_lines(text: str):
-    """The stripped lines of text, without blank and "#" comment lines."""
-    lines = (ln.strip() for ln in text.splitlines())
-    return [ln for ln in lines if ln and not ln.startswith("#")]
+    """The stripped lines of text, without blank and "#" comment lines, read
+    from blocks of about 64 Ki characters so that no list holds all lines.
+    A block ending inside a CR LF pair leaves an empty line, which is blank."""
+    start = 0
+    while start < len(text):
+        cut = _BREAK.search(text, start + (1 << 16))
+        end = cut.end() if cut else len(text)
+        for ln in text[start:end].splitlines():
+            ln = ln.strip()
+            if ln and not ln.startswith("#"):
+                yield ln
+        start = end
 
 
 def read_graph(text: str) -> Graph:
     """Parse an edge list, or a graph6 line when the first data line is not
-    an "n m" header; a graph6 input holds that one data line only."""
+    an "n m" header; a graph6 input holds that one data line only. Of an
+    edge list's lines, at most m are kept; the rest are only counted."""
     lines = _data_lines(text)
-    if not lines:
+    first = next(lines, None)
+    if first is None:
         raise ValueError("empty input")
-    head = lines[0].split()
-    if len(head) == 2 and all(p.lstrip("-").isdigit() for p in head):
-        return _parse_edge_list(lines)
-    if len(lines) > 1:
-        raise ValueError(f"graph6 input must hold one graph; found {len(lines)} data lines")
-    return read_graph6(lines[0])
-
-
-def read_edge_list(text: str) -> Graph:
-    """Parse the "n m" header plus m "u v" lines into a Graph."""
-    return _parse_edge_list(_data_lines(text))
-
-
-def _parse_edge_list(lines) -> Graph:
-    """An edge list's Graph from its data lines (_data_lines)."""
-    if not lines:
-        raise ValueError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("first line must be 'n m'")
+    head = first.split()
+    if not (len(head) == 2 and all(p.lstrip("-").isdigit() for p in head)):
+        found = 1 + sum(1 for _ in lines)
+        if found > 1:
+            raise ValueError(f"graph6 input must hold one graph; found {found} data lines")
+        return read_graph6(first)
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError("first line must be 'n m'") from None
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
+    if m > n * (n - 1) // 2:
+        raise ValueError(f"a graph of order {n} has at most {n * (n - 1) // 2} edges; the header declares {m}")
+    kept, found = [], 0
+    for ln in lines:
+        found += 1
+        if found <= m:
+            kept.append(ln)
+    if found != m:
+        raise ValueError(f"expected {m} edge lines, found {found}")
     edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
+    for ln in kept:
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            u, v = map(int, ln.split())
         except ValueError:
             raise ValueError(f"bad edge line: {ln!r}") from None
+        edges.append((u, v))
     return Graph(n, edges)
 
 

@@ -79,26 +79,24 @@ def eigenvalues_sym(m: SymMatrix):
                     aq[k] = s * akp + c * akq
 
 
-def group_spectrum(values, group_tol: float):
-    """Cluster a descending eigenvalue list: (cluster means, cluster sizes),
-    in descending order. A cluster is a maximal run whose consecutive gaps
-    are at most group_tol, so adjacent means differ by more than it."""
-    if group_tol <= 0:
-        raise ValueError("group_tol must be positive")
+def group_spectrum(values, count: int):
+    """Split a descending eigenvalue list into count runs at its count - 1
+    largest consecutive gaps, ties going to the earlier gap: (run means,
+    run sizes), in descending order. An empty list has count 0 and no runs."""
     vals = list(values)
+    if not vals:
+        if count != 0:
+            raise ValueError(f"count must be 0 for an empty list, got {count}")
+        return (), ()
+    if not 1 <= count <= len(vals):
+        raise ValueError(f"count must be between 1 and {len(vals)}, got {count}")
     if any(a < b for a, b in zip(vals, vals[1:])):
         raise ValueError("values must be sorted descending")
-    reps = []
-    mults = []
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and vals[j - 1] - vals[j] <= group_tol:
-            j += 1
-        reps.append(sum(vals[i:j]) / (j - i))
-        mults.append(j - i)
-        i = j
-    return tuple(reps), tuple(mults)
+    # a stable sort on the negated gap puts the earlier of equal gaps first
+    widest = sorted(range(1, len(vals)), key=lambda i: vals[i] - vals[i - 1])
+    cuts = [0, *sorted(widest[:count - 1]), len(vals)]
+    runs = [vals[i:j] for i, j in zip(cuts, cuts[1:])]
+    return tuple(sum(run) / len(run) for run in runs), tuple(len(run) for run in runs)
 
 
 def inertia_float(values, zero_tol: float) -> Inertia:
@@ -108,10 +106,6 @@ def inertia_float(values, zero_tol: float) -> Inertia:
     n_plus = sum(1 for v in values if v > zero_tol)
     n_minus = sum(1 for v in values if v < -zero_tol)
     return Inertia(n_plus, n_minus, len(values) - n_plus - n_minus)
-
-
-def default_group_tol(m: SymMatrix) -> float:
-    return 1e-8 * max(1.0, float(m.max_abs()))
 
 
 def default_zero_tol(m: SymMatrix) -> float:

@@ -49,6 +49,14 @@ class TestSpectrumCommand:
         assert abs(report["spectral_radius"] - 4.0) < 1e-9
         assert abs(report["least_eigenvalue"] + 4.0) < 1e-9
 
+    def test_one_run_per_exact_distinct_eigenvalue(self, capsys):
+        for family in ("star:9", "spider:5,2", "cycle:10", "hypercube:3", "tndab:10,3,0,6"):
+            _, out, _ = run(capsys, "spectrum", "--family", family)
+            report = json.loads(out)
+            mults = report["spectrum"]["multiplicities"]
+            assert len(mults) == len(report["spectrum"]["values"]) == report["distinct_count"]
+            assert sum(mults) == report["n"]
+
     def test_dump_matrix(self, capsys):
         code, out, _ = run(capsys, "spectrum", "--family", "path:3", "--dump-matrix")
         assert code == 0
@@ -130,6 +138,13 @@ class TestInputFiles:
         f.write_text("1000000000 0\n")
         code, out, err = run(capsys, "inertia", "--input", str(f))
         assert code == 2 and out == "" and "exceeds the limit" in err
+
+    def test_edge_count_above_the_simple_graph_bound_rejected(self, capsys, tmp_path):
+        f = tmp_path / "k3.txt"
+        f.write_text("3 4\n0 1\n0 2\n1 2\n0 1\n")
+        code, out, err = run(capsys, "inertia", "--input", str(f))
+        assert code == 2 and out == ""
+        assert "a graph of order 3 has at most 3 edges; the header declares 4" in err
 
     def test_graph6_file(self, capsys, tmp_path):
         f = tmp_path / "p4.g6"

@@ -1,15 +1,16 @@
 import random
+import tracemalloc
 
 import pytest
 
 from eccmat.graphs import (
+    MAX_INPUT_BYTES,
     MAX_ORDER,
     Graph,
     Tree,
     bfs_distances,
     diametrical_pairing,
     distance_matrix,
-    read_edge_list,
     read_graph,
     read_graph6,
     to_edge_list,
@@ -207,38 +208,39 @@ class TestDiametricalPairing:
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = cycle(5)
-        again = read_edge_list(to_edge_list(g))
+        again = read_graph(to_edge_list(g))
         assert again.edges() == g.edges()
         assert again.n == g.n
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# sample\n3 2\n\n0 1\n# middle\n1 2\n"
-        g = read_edge_list(text)
+        g = read_graph(text)
         assert g.edges() == [(0, 1), (1, 2)]
 
     def test_wrong_edge_count_rejected(self):
         with pytest.raises(ValueError):
-            read_edge_list("3 2\n0 1\n")
+            read_graph("3 2\n0 1\n")
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_edge_list("three two\n0 1\n")
+        # a first line that is not "n m" makes the input graph6
+        with pytest.raises(ValueError, match="graph6 input must hold one graph; found 2 data lines"):
+            read_graph("three two\n0 1\n")
 
     def test_bad_edge_line_rejected(self):
         with pytest.raises(ValueError):
-            read_edge_list("2 1\n0 x\n")
+            read_graph("2 1\n0 x\n")
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            read_edge_list("  \n# nothing\n")
+            read_graph("  \n# nothing\n")
 
     def test_order_cap_from_header(self):
         # rejected from the header alone, before any adjacency is allocated
         with pytest.raises(ValueError, match="exceeds the limit"):
-            read_edge_list("1000000000 0\n")
+            read_graph("1000000000 0\n")
         with pytest.raises(ValueError, match="exceeds the limit"):
-            read_edge_list(f"{MAX_ORDER + 1} 1\n0 1\n")
-        assert read_edge_list(f"{MAX_ORDER} {MAX_ORDER - 1}\n" + "".join(
+            read_graph(f"{MAX_ORDER + 1} 1\n0 1\n")
+        assert read_graph(f"{MAX_ORDER} {MAX_ORDER - 1}\n" + "".join(
             f"0 {v}\n" for v in range(1, MAX_ORDER))).n == MAX_ORDER
 
     def test_sniffing_shares_the_comment_rule(self):
@@ -246,6 +248,26 @@ class TestEdgeListFormat:
         assert read_graph("  # indented comment\nCh\n").n == 4
         with pytest.raises(ValueError, match="empty input"):
             read_graph("   # only a comment\n")
+
+    def test_large_input_is_streamed(self):
+        # Each text is near MAX_INPUT_BYTES. read_graph holds neither a whole
+        # copy of it nor a list of all its lines, and keeps at most m of them.
+        cases = (
+            ("2 1\n" + "0 1\n" * 2_097_150, "expected 1 edge lines, found 2097150"),
+            ("\n" * MAX_INPUT_BYTES, "empty input"),
+            ("2 1\n" + "#\n" * 2_097_150, "expected 1 edge lines, found 0"),
+        )
+        for text, message in cases:
+            assert len(text) <= MAX_INPUT_BYTES
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError) as err:
+                    read_graph(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(err.value) == message
+            assert peak < 16 << 20
 
 
 class TestGraph6Format:

@@ -6,11 +6,11 @@ import pytest
 
 from eccmat import spectra
 from eccmat.checks import TreeFacts
+from eccmat.exact import char_poly, distinct_count_exact
 from eccmat.families import path, pruefer_random, star
 from eccmat.matrices import SymMatrix
 from eccmat.spectra import (
     JacobiConvergenceError,
-    default_group_tol,
     default_zero_tol,
     eigenvalues_sym,
     group_spectrum,
@@ -71,31 +71,54 @@ class TestEigenvaluesSym:
 
 class TestGroupSpectrum:
     def test_exact_duplicates(self):
-        assert group_spectrum([4.0, -2.0, -2.0, -2.0], 1e-8) == ((4.0, -2.0), (1, 3))
+        assert group_spectrum([4.0, -2.0, -2.0, -2.0], 2) == ((4.0, -2.0), (1, 3))
 
     def test_cluster_mean(self):
-        values, mults = group_spectrum([1.0 + 4e-9, 1.0], 1e-8)
+        values, mults = group_spectrum([1.0 + 4e-9, 1.0], 1)
         assert mults == (2,)
         assert abs(values[0] - (1.0 + 2e-9)) < 1e-15
 
     def test_chain_merges(self):
-        # consecutive gaps all inside tol, total width outside it
-        vals = [5e-9, 0.0, -5e-9, -1e-8]
-        assert group_spectrum(vals, 6e-9)[1] == (4,)
+        # a chain of small gaps stays one run however wide it is in total
+        vals = [1.0, 5e-9, 0.0, -5e-9, -1e-8]
+        assert group_spectrum(vals, 2)[1] == (1, 4)
 
     def test_split_on_large_gap(self):
-        assert group_spectrum([1.0, 0.5, 0.5 - 1e-9], 1e-8)[1] == (1, 2)
+        assert group_spectrum([1.0, 0.5, 0.5 - 1e-9], 2)[1] == (1, 2)
+
+    def test_count_cuts_the_largest_gaps(self):
+        vals = [9.0, 8.0, 5.0, 4.5, 0.0, -0.5]
+        assert group_spectrum(vals, 3)[1] == (2, 2, 2)
+        assert group_spectrum(vals, 6)[1] == (1,) * 6
+
+    def test_tie_goes_to_the_earlier_gap(self):
+        assert group_spectrum([2.0, 1.0, 0.0], 2) == ((2.0, 0.5), (1, 2))
+
+    def test_near_degenerate_pair_keeps_the_exact_count(self):
+        # the two eigenvalues lie 1 apart, inside the 1e-8 * max|a| = 10.0
+        # band that once merged float clusters
+        m = SymMatrix([[10**9, 0], [0, 10**9 + 1]])
+        count = distinct_count_exact(char_poly(m))
+        assert count == 2
+        assert group_spectrum(eigenvalues_sym(m), count)[1] == (1, 1)
 
     def test_rejects_ascending(self):
         with pytest.raises(ValueError):
-            group_spectrum([0.0, 1.0], 1e-8)
+            group_spectrum([0.0, 1.0], 1)
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
-            group_spectrum([1.0], 0.0)
+            group_spectrum([1.0], 0)
+
+    def test_rejects_bad_count(self):
+        for values, count in (([1.0], 0), ([1.0, 0.0], 3), ([1.0], -1)):
+            with pytest.raises(ValueError, match="count must be between"):
+                group_spectrum(values, count)
+        with pytest.raises(ValueError, match="count must be 0"):
+            group_spectrum([], 1)
 
     def test_empty(self):
-        assert group_spectrum([], 1e-8) == ((), ())
+        assert group_spectrum([], 0) == ((), ())
 
 
 class TestExtremesAndInertia:
@@ -129,13 +152,6 @@ class TestExtremesAndInertia:
 
 
 class TestDefaultTols:
-    def test_group_tol_floors_at_unit_scale(self):
-        assert default_group_tol(SymMatrix([[0]])) == 1e-8
-
-    def test_group_tol_scales_with_entries(self):
-        m = TreeFacts(path(6)).matrix
-        assert default_group_tol(m) == 1e-8 * 5
-
     def test_zero_tol_scales_with_entries(self):
         m = TreeFacts(star(5)).matrix
         assert default_zero_tol(m) == 2e-8
