@@ -218,6 +218,8 @@ def read_graph(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise ValueError("first line must be 'n m'") from None
+    if n < 1 or m < 0:
+        raise ValueError(f"header {first.strip()!r} needs an order n >= 1 and an edge count m >= 0")
     if n > MAX_ORDER:
         raise ValueError(f"order {n} exceeds the limit of {MAX_ORDER}")
     if m > n * (n - 1) // 2:

@@ -180,39 +180,35 @@ def even_diameter_core(d: int, l: int) -> SymMatrix:
     return SymMatrix(rows)
 
 
-def _step(a, rows, right, p, q, prev):
-    """One Bareiss step on pivot a[p][q]: each of rows on the columns right
-    becomes (a_ij * a_pq - a_iq * a_pj) / prev, an exact division."""
-    pivot_row = a[p]
-    pv = pivot_row[q]
-    for i in rows:
-        ai = a[i]
-        aiq = ai[q]
-        for j in right:
-            ai[j] = (ai[j] * pv - aiq * pivot_row[j]) // prev
-
-
 def _bareiss(a, block=None):
     """Fraction-free (Bareiss) elimination of the symmetric row list a, in
     place, with its pivots on the diagonal (a fraction-free form of the
     Bunch and Kaufman rule).
 
-    The indices not yet pivoted span the trailing block, the last pivot
-    times the Schur complement of the pivot block, so it is symmetric:
-    - its first nonzero diagonal entry is a 1 x 1 step, which adds an
-      eigenvalue of the sign of that entry times the last pivot (Jacobi);
+    The indices not yet pivoted span the trailing block, the last pivot D
+    times the Schur complement of the pivot block, so it is symmetric, and
+    only its upper triangle (a_xb with x <= b) is kept current:
+    - its first nonzero diagonal entry p is a 1 x 1 step, which adds an
+      eigenvalue of the sign of a_pp times D (Jacobi), and updates
+      a_xb <- (a_pp a_xb - a_xp a_pb) / D;
     - on a zero diagonal its first nonzero entry c = a_ij is a 2 x 2 step
       [[0, c], [c, 0]], which adds one eigenvalue of each sign (Frobenius).
-      It runs as two ordinary steps with a row swap inside the block: row
-      j pivots on column i, then row i on column j with the pivot
-      c^2 / (last pivot);
+      The rows above row i are zero, so i < j. Its one pass
+      a_xb <- (c^2 a_xb - c (a_xi a_jb + a_xj a_ib)) / D^2
+      is two ordinary steps composed (row j on column i, then row i on
+      column j with the pivot c^2 / D), because a_ii = a_jj = 0; each of
+      them divides exactly, so the composition does too;
     - a zero trailing block ends it. The pivot block is nonsingular and its
       Schur complement zero, so the rank is the number of pivots and the
       other eigenvalues are zero (Haynsworth).
-    Each step updates the trailing block and divides exactly by the last
-    pivot, so by Sylvester's identity the k-th pivot is the leading k-square
-    minor with the rows in pivot-row and the columns in pivot-column order.
-    With block=k only the first k indices are pivot candidates.
+    A pivot row is completed from the upper triangle when it is pivoted and
+    not touched after, except that a 2 x 2 step leaves row i as the two-step
+    form does: a_ib <- a_ib c / D, and a_ij <- c^2 / D, the new last pivot.
+    A row whose multipliers a_xp (or a_xi and a_xj) are zero is only scaled,
+    and skipped when the scale is 1. By Sylvester's identity the k-th pivot
+    is the leading k-square minor with the rows in pivot-row and the columns
+    in pivot-column order. With block=k only the first k indices are pivot
+    candidates.
 
     Returns (steps, sign, last pivot, number of negative eigenvalues):
     steps lists the (pivot row, pivot column) pairs in pivot order, and
@@ -224,30 +220,51 @@ def _bareiss(a, block=None):
         cand = rest if block is None else [i for i in rest if i < block]
         for p in cand:
             if a[p][p]:
-                negative += (a[p][p] > 0) != (prev > 0)
-                rest.remove(p)
-                _step(a, rest, rest, p, p, prev)
-                prev = a[p][p]
+                i = j = p
+                w, w2, scale, div = 1, 0, a[p][p], prev
+                negative += (scale > 0) != (prev > 0)
                 steps.append((p, p))
                 break
         else:
             # a zero diagonal: a 2 x 2 step on its first nonzero entry, or
             # the end
-            for i in cand:
-                if any(map(a[i].__getitem__, cand)):
+            for k, i in enumerate(cand):
+                right = cand[k + 1:]
+                if any(map(a[i].__getitem__, right)):
                     break
             else:
                 break
-            j = next(j for j in cand if a[i][j])
-            rest.remove(i)
-            rest.remove(j)
-            _step(a, rest + [i], rest + [j], j, i, prev)
-            prev = a[j][i]
-            _step(a, rest, rest, i, j, prev)
-            prev = a[i][j]
-            steps += [(j, i), (i, j)]
+            j = next(j for j in right if a[i][j])
+            w = w2 = a[i][j]
+            scale, div = w * w, prev * prev
             sign = -sign
             negative += 1
+            steps += [(j, i), (i, j)]
+        ri, rj = a[i], a[j]
+        for q in {i, j}:  # complete the pivot rows from the upper triangle
+            for b in rest[:rest.index(q)]:
+                a[q][b] = a[b][q]
+        for q in {i, j}:
+            rest.remove(q)
+        # row x takes u = w a_xi times row j and v = w2 a_xj times row i: w =
+        # w2 = c in a 2 x 2 step, and w = 1, w2 = 0 (i = j = p) in a 1 x 1 step
+        for k, x in enumerate(rest):
+            ax, u, v = a[x], w * ri[x], w2 * rj[x]
+            if u and v:
+                for b in rest[k:]:
+                    ax[b] = (ax[b] * scale - u * rj[b] - v * ri[b]) // div
+            elif u or v:
+                u, s = (u, rj) if u else (v, ri)
+                for b in rest[k:]:
+                    ax[b] = (ax[b] * scale - u * s[b]) // div
+            elif scale != div:
+                for b in rest[k:]:
+                    ax[b] = ax[b] * scale // div
+        if i != j:
+            for b in rest:
+                ri[b] = ri[b] * w // prev
+            ri[j] = scale // prev
+        prev = ri[j]
     return steps, sign, prev, negative
 
 
@@ -265,7 +282,13 @@ def _gauss_jordan(a, steps):
     rest = [c for c in range(len(a)) if c not in pivoted]
     for t, (p, q) in enumerate(steps[1:], 1):
         b, c = steps[t - 1]
-        _step(a, [s for s, _ in steps[:t]], [j for _, j in steps[t + 1:]] + rest, p, q, a[b][c])
+        prev, pivot_row = a[b][c], a[p]
+        pv, right = pivot_row[q], [j for _, j in steps[t + 1:]] + rest
+        for s, _ in steps[:t]:
+            row = a[s]
+            m = row[q]
+            for j in right:
+                row[j] = (row[j] * pv - m * pivot_row[j]) // prev
     return [[a[p][c] for c in rest] for p, _ in steps]
 
 
@@ -296,4 +319,4 @@ def schur_complement(m: SymMatrix, pivot_set) -> SymMatrix:
     if len(steps) < k:
         raise ValueError(f"singular pivot block {pivot}")
     sign = -1 if last < 0 else 1
-    return SymMatrix([[sign * x for x in row[k:]] for row in a[k:]])
+    return SymMatrix([[sign * a[min(x, y)][max(x, y)] for y in range(k, n)] for x in range(k, n)])

@@ -235,6 +235,24 @@ def solve_pivot_block(rows, pivot):
     return aug
 
 
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Fractions, with row swaps."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for t in range(len(a)):
+        r = next((r for r in range(t, len(a)) if a[r][t]), None)
+        if r is None:
+            return 0
+        if r != t:
+            a[t], a[r] = a[r], a[t]
+            det = -det
+        det *= a[t][t]
+        for r in range(t + 1, len(a)):
+            f = a[r][t] / a[t][t]
+            a[r] = [x - f * y for x, y in zip(a[r], a[t])]
+    return int(det)
+
+
 def schur_by_solve(rows, pivot):
     """A22 - A21 A11^{-1} A12 over Fractions, as lists of rows; None when
     the pivot block A11 is singular."""

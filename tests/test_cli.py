@@ -139,6 +139,14 @@ class TestInputFiles:
         code, out, err = run(capsys, "inertia", "--input", str(f))
         assert code == 2 and out == "" and "exceeds the limit" in err
 
+    def test_header_order_and_edge_count_rejected(self, capsys, tmp_path):
+        f = tmp_path / "bad.txt"
+        for head in ("-3 7", "0 0", "5 -1"):
+            f.write_text(f"{head}\n0 1\n")
+            code, out, err = run(capsys, "inertia", "--input", str(f))
+            assert (code, out) == (2, "")
+            assert err == f"error: {f}: header '{head}' needs an order n >= 1 and an edge count m >= 0\n"
+
     def test_edge_count_above_the_simple_graph_bound_rejected(self, capsys, tmp_path):
         f = tmp_path / "k3.txt"
         f.write_text("3 4\n0 1\n0 2\n1 2\n0 1\n")

@@ -243,6 +243,12 @@ class TestEdgeListFormat:
         assert read_graph(f"{MAX_ORDER} {MAX_ORDER - 1}\n" + "".join(
             f"0 {v}\n" for v in range(1, MAX_ORDER))).n == MAX_ORDER
 
+    def test_order_and_edge_count_checked_from_header(self):
+        # rejected from the header alone: the lines after it are not edges
+        for head in ("-3 7", "0 0", "5 -1"):
+            with pytest.raises(ValueError, match=f"header '{head}' needs an order n >= 1"):
+                read_graph(f"{head}\nx y\n")
+
     def test_sniffing_shares_the_comment_rule(self):
         assert read_graph("  # indented comment\n\t# tab\n2 1\n  0 1\n").edges() == [(0, 1)]
         assert read_graph("  # indented comment\nCh\n").n == 4

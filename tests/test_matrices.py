@@ -17,12 +17,14 @@ from eccmat.matrices import (
 
 from _oracles import (
     ecc_entries_by_definition,
+    fraction_det,
     is_irreducible,
     leibniz_det,
     principal_minor_sum,
     random_symmetric,
     rational_inertia_by_congruence,
     schur_by_solve,
+    solve_pivot_block,
 )
 
 
@@ -175,7 +177,84 @@ class TestDeterminant:
         assert bareiss_det(SymMatrix(sym)) == leibniz_det(sym)
 
 
+def kernel_case(rng):
+    """A random symmetric integer matrix of order 1..14. Half of them are
+    L (D + H) L^T, D a nonzero diagonal on the leading indices, H a hollow
+    block on the rest and L unit lower triangular with an identity block on
+    H, so 1 x 1 steps come before the 2 x 2 steps of the hollow H. The
+    other half are a random core, spread by twin rows (which keep a zero
+    diagonal and the rank) and zero rows, in a random order. The core is
+    hollow in two of three cases, and in one of those bipartite: a 2 x 2
+    step keeps a hollow bipartite block hollow and bipartite, so all its
+    steps are 2 x 2."""
+    n = rng.randint(1, 14)
+    if rng.random() < 0.5:
+        s = rng.randint(0, n)
+        b = [list(r) for r in random_symmetric(n, rng, -3, 3).rows]
+        for i in range(n):
+            for j in range(n):
+                if i != j and min(i, j) < s or i == j >= s:
+                    b[i][j] = 0
+            if i < s and not b[i][i]:
+                b[i][i] = rng.choice((-2, -1, 1, 3))
+        low = [[int(i == j) if j >= s or i <= j else rng.randint(-2, 2) for j in range(n)]
+               for i in range(n)]
+        lb = [[sum(low[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        return SymMatrix([[sum(lb[i][k] * low[j][k] for k in range(n)) for j in range(n)]
+                          for i in range(n)])
+    r = rng.randint(1, n)
+    core = [list(row) for row in random_symmetric(r, rng, -3, 3).rows]
+    kind = rng.randrange(3)
+    side = [rng.random() < 0.5 for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            if i == j and kind or kind == 2 and side[i] == side[j]:
+                core[i][j] = 0
+    origin = list(range(r)) + [rng.randrange(r) if rng.random() < 0.7 else None for _ in range(n - r)]
+    rng.shuffle(origin)
+    return SymMatrix([[0 if None in (u, v) else core[u][v] for v in origin] for u in origin])
+
+
 class TestEliminationKernel:
+    def test_random_matrices_against_fraction_oracles(self):
+        # rank and negative count from a congruence over the rationals,
+        # sign * last pivot = det A_QQ, the Jordan rows X = d M^-1 A_QU by a
+        # Fraction solve on M = A_QQ, Q in pivot order (padded with zero rows
+        # to order 2n when 2r > n, which keeps the pivots), and the Schur
+        # complement on a random pivot set by a Fraction solve
+        from eccmat.matrices import _bareiss
+
+        rng = random.Random(131)
+        seen = {"2 x 2 first": 0, "2 x 2 after 1 x 1": 0, "2 x 2 twice in a row": 0, "schur": 0}
+        for _ in range(600):
+            m = kernel_case(rng)
+            n, rows = m.n, [list(r) for r in m.rows]
+            steps, sign, last, negative = _bareiss([list(r) for r in rows])
+            plus, minus, _ = rational_inertia_by_congruence(rows)
+            assert (len(steps), negative, m.n_minus) == (plus + minus, minus, minus)
+            q = [c for _, c in steps]
+            assert m.pivots == tuple(q)
+            assert sign * last == fraction_det([[rows[a][b] for b in q] for a in q]) != 0
+            padded = m if 2 * len(q) <= n else SymMatrix(
+                [r + [0] * n for r in rows] + [[0] * 2 * n for _ in range(n)])
+            x, d = padded.jordan
+            assert (padded.pivots, d) == (m.pivots, last)
+            full = [list(r) for r in padded.rows]
+            rest = [c for c in range(padded.n) if c not in q]
+            assert x == [[d * row[c] for c in rest] for row in solve_pivot_block(full, q)]
+            kinds = "".join("2" if p != c else "1" for p, c in steps)  # "22" a 2 x 2 step
+            seen["2 x 2 first"] += kinds.startswith("2")
+            seen["2 x 2 after 1 x 1"] += "12" in kinds
+            seen["2 x 2 twice in a row"] += "2222" in kinds
+            piv = sorted(rng.sample(range(n), rng.randint(1, n)))
+            want = schur_by_solve(rows, piv)
+            if want is not None and len(piv) < n:
+                b = fraction_det([[rows[a][c] for c in piv] for a in piv])
+                assert [list(r) for r in schur_complement(m, piv).rows] == [
+                    [abs(b) * v for v in row] for row in want]
+                seen["schur"] += 1
+        assert min(seen.values()) >= 30, seen
+
     def test_pivot_columns_give_a_nonsingular_principal_block(self):
         # for a symmetric matrix of rank r, the pivot indices Q make A_QQ
         # nonsingular: the block the low-rank route works from
@@ -209,8 +288,8 @@ class TestEliminationKernel:
                 block = [[rows[a][b] for b in cols] for a in cols]
                 assert sign * last == leibniz_det(block) != 0
 
-    def test_column_rule_results_unchanged(self):
-        # values pinned under the column rule the kernel had before
+    def test_pinned_results_unchanged(self):
+        # values pinned under the column rule of an earlier kernel
         assert bareiss_det(deep_mid_block(2, 3)) == -2916
         assert bareiss_det(odd_diameter_core(2)) == 256
         assert schur_complement(deep_mid_block(2, 3), [0, 1, 2]).rows == (
