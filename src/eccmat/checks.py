@@ -31,6 +31,7 @@ from .graphs import (
     Tree,
     diametrical_pairing,
     distance_matrix,
+    eccentricity_rows,
     tree_meta,
 )
 from .matrices import (
@@ -85,7 +86,9 @@ class TreeFacts:
     """Lazily computed quantities for one tree, shared across checks.
 
     The tree must have n >= 2 vertices (ValueError otherwise): the paper's
-    results are about trees with at least one edge. The matrix keeps its
+    results are about trees with at least one edge. The eccentricities and
+    the peripheral vertices' BFS rows (graphs.eccentricity_rows) are
+    computed once and feed both meta and matrix. The matrix keeps its
     one fraction-free elimination (SymMatrix.pivots): the characteristic
     polynomial, the rank check and the minor-sign inertia all read it.
     corrupt=True bumps one off-diagonal entry pair of the eccentricity
@@ -100,16 +103,16 @@ class TreeFacts:
         self.corrupt = corrupt
 
     @cached_property
-    def dist(self) -> SymMatrix:
-        return distance_matrix(self.tree)
+    def _ecc_rows(self):
+        return eccentricity_rows(self.tree)
 
     @cached_property
     def meta(self):
-        return tree_meta(self.tree, self.dist)
+        return tree_meta(self.tree, self._ecc_rows[0])
 
     @cached_property
     def matrix(self) -> SymMatrix:
-        m = eccentricity_matrix(self.dist)
+        m = eccentricity_matrix(*self._ecc_rows)
         if self.corrupt and m.n >= 2:
             rows = [list(r) for r in m.rows]
             rows[0][m.n - 1] += 1
@@ -228,7 +231,7 @@ def check_star_spectrum(n: int) -> Verdict:
         raise ValueError("check_star_spectrum requires n >= 3")
     s = math.sqrt(n * n - 3 * n + 3)
     closed_form = [n - 2 + s, n - 2 - s] + [-2.0] * (n - 2)
-    m = eccentricity_matrix(distance_matrix(star(n)))
+    m = eccentricity_matrix(*eccentricity_rows(star(n)))
     return _closed_form_verdict("star-spectrum", f"star:{n}", m, closed_form)
 
 
@@ -386,7 +389,10 @@ def check_block_structure(f: TreeFacts) -> Verdict:
     """Every entry of the eccentricity matrix has its block-form value, by
     one rule for both diameter parities: the entry of u and v is
     min(ecc u, ecc v) when they lie in different branches (TreeMeta.branch)
-    and one of them is peripheral (ecc = diameter), else 0."""
+    and one of them is peripheral (ecc = diameter), else 0. The matrix is
+    built from the peripheral vertices' rows only, so the zero entries
+    between two non-peripheral vertices hold by construction; the branch
+    rule and every other entry are still tested."""
     diam = f.meta.diameter
     if diam < 3:
         raise ValueError("check_block_structure requires diameter >= 3")
@@ -416,12 +422,11 @@ def check_block_structure(f: TreeFacts) -> Verdict:
 def check_diametrical(g: Graph, label: str | None = None) -> Verdict:
     """A diametrical graph's eccentricity matrix is a scaled symmetric
     permutation with spectrum +diam and -diam, each of multiplicity n/2."""
-    dist = distance_matrix(g)
-    pairing = diametrical_pairing(dist)
+    pairing = diametrical_pairing(distance_matrix(g))
     if pairing is None:
         raise ValueError("graph is not diametrical")
     instance = label if label is not None else f"diametrical:n={g.n}"
-    m = eccentricity_matrix(dist)
+    m = eccentricity_matrix(*eccentricity_rows(g))
     # the diametral pairs keep their entries, so the largest is the diameter
     diam = m.max_abs()
     paired = all(pairing[pairing[v]] == v for v in pairing) and all(

@@ -29,7 +29,7 @@ from .families import (
     parse_family,
     pruefer_random,
 )
-from .graphs import MAX_INPUT_BYTES, MAX_ORDER, Graph, Tree, distance_matrix, read_graph, to_edge_list
+from .graphs import MAX_INPUT_BYTES, MAX_ORDER, Graph, Tree, eccentricity_rows, read_graph, to_edge_list
 from .matrices import eccentricity_matrix
 from .spectra import eigenvalues_sym, group_spectrum
 
@@ -141,7 +141,7 @@ def cmd_report(args) -> int:
     """spectrum: the full exact + float report; inertia: inertia and rank."""
     g, label = _load_graph(args)
     full = args.command == "spectrum"
-    matrix = eccentricity_matrix(distance_matrix(g))
+    matrix = eccentricity_matrix(*eccentricity_rows(g))
     # both read the matrix's one elimination
     inertia = inertia_of_matrix(matrix)
     rank = rank_exact(matrix)

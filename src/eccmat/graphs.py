@@ -15,9 +15,10 @@ from .matrices import SymMatrix
 
 # Largest graph order accepted from input. Family tokens, edge-list and
 # graph6 headers and tree ranges above it are rejected before anything is
-# built: a distance matrix on 1024 vertices already holds a million entries,
-# and a characteristic polynomial that no low-rank route reaches (spiders,
-# odd cycles) still costs n^4.
+# built: an eccentricity matrix on 1024 vertices already holds a million
+# entries (a tree runs BFS from its peripheral vertices only, any other
+# graph from every vertex), and a characteristic polynomial that no
+# low-rank route reaches (spiders, odd cycles) still costs n^4.
 MAX_ORDER = 1024
 
 # Largest --input file read, in bytes. An edge list of the complete graph at
@@ -113,6 +114,36 @@ def distance_matrix(g: Graph) -> SymMatrix:
     return SymMatrix([bfs_distances(g, s) for s in range(g.n)])
 
 
+def eccentricity_rows(g: Graph):
+    """(ecc, rows): the eccentricities of g, and a dict from each vertex
+    that can hold a kept entry of the eccentricity matrix to its BFS row.
+
+    A kept entry d(u,v) = min(e(u), e(v)) <= e(u) makes v farthest from u,
+    or u farthest from v. In a tree every vertex farthest from some vertex
+    is peripheral (an end of a diameter), so every kept entry has a
+    peripheral endpoint. A tree (a connected graph with n - 1 edges) runs
+    the double sweep: BFS from 0 finds a farthest vertex a, BFS from a a
+    farthest vertex b, and e(v) = max(d(a,v), d(b,v)). Its sources are then
+    the peripheral vertices, e(v) = diameter, and the rows of a and b are
+    reused: 1 + |P| BFS runs for the set P of peripheral vertices. Any other
+    graph runs BFS from every vertex.
+    """
+    n = g.n
+    if g.edge_count != n - 1:
+        rows = {s: bfs_distances(g, s) for s in range(n)}
+        return tuple(map(max, rows.values())), rows
+    d0 = bfs_distances(g, 0)
+    a = d0.index(max(d0))
+    da = bfs_distances(g, a)
+    diameter = max(da)
+    b = da.index(diameter)
+    db = bfs_distances(g, b)
+    ecc = tuple(map(max, da, db))
+    ends = {a: da, b: db}
+    rows = {v: ends[v] if v in ends else bfs_distances(g, v) for v in range(n) if ecc[v] == diameter}
+    return ecc, rows
+
+
 @dataclass(frozen=True)
 class TreeMeta:
     """Eccentricities, diameter, centers, branches and distinguished vertices.
@@ -132,9 +163,12 @@ class TreeMeta:
     distinguished: frozenset
 
 
-def tree_meta(t: Tree, dist: SymMatrix) -> TreeMeta:
-    """Compute eccentricities, centers, branches and distinguished vertices."""
-    ecc = tuple(max(row) for row in dist.rows)
+def tree_meta(t: Tree, ecc: tuple) -> TreeMeta:
+    """Centers, branches and distinguished vertices from the eccentricities.
+
+    With even diameter 2d and center c, e(v) = d(c,v) + d, so the vertices
+    at depth d from the center are the peripheral ones, e(v) = 2d.
+    """
     diameter = max(ecc)
     radius = min(ecc)
     centers = tuple(v for v in range(t.n) if ecc[v] == radius)
@@ -159,12 +193,10 @@ def tree_meta(t: Tree, dist: SymMatrix) -> TreeMeta:
             if branch[w] < 0:
                 branch[w] = branch[u]
                 stack.append(w)
-    if odd:
+    # a lone vertex (diameter 0) has no branches
+    if odd or not diameter:
         return TreeMeta(ecc, diameter, centers, tuple(branch), frozenset())
-    d = diameter // 2
-    row0 = dist.rows[u0]
-    # a lone vertex (d = 0) has no branches
-    distinguished = frozenset(branch[w] for w in range(t.n) if row0[w] == d) if d else frozenset()
+    distinguished = frozenset(branch[w] for w in range(t.n) if ecc[w] == diameter)
     return TreeMeta(ecc, diameter, centers, tuple(branch), distinguished)
 
 

@@ -100,23 +100,25 @@ class SymMatrix:
         return f"SymMatrix(n={self.n})"
 
 
-def eccentricity_matrix(dist: SymMatrix) -> SymMatrix:
+def eccentricity_matrix(ecc, rows) -> SymMatrix:
     """Keep distance entries attaining min(ecc[u], ecc[v]), zero the rest.
 
-    The eccentricities are the row maxima of the distance matrix.
+    ecc holds the eccentricities, and rows maps each source vertex u to its
+    distance row; every kept entry must have a source endpoint
+    (graphs.eccentricity_rows chooses the sources). Each kept entry is
+    written at (u, v) and (v, u), so any entry between two non-sources
+    stays 0.
     """
-    n = dist.n
-    ecc = [max(row) for row in dist.rows]
-    out = []
-    for u in range(n):
-        du = dist.rows[u]
+    n = len(ecc)
+    out = [[0] * n for _ in range(n)]
+    for u, du in rows.items():
         eu = ecc[u]
-        row = [0] * n
+        ru = out[u]
         for v in range(n):
-            m = eu if eu < ecc[v] else ecc[v]
-            if du[v] == m and u != v:
-                row[v] = du[v]
-        out.append(row)
+            d = du[v]
+            if d == (eu if eu < ecc[v] else ecc[v]):
+                ru[v] = d
+                out[v][u] = d
     return SymMatrix(out)
 
 

@@ -84,6 +84,25 @@ def ecc_entries_by_definition(g: Graph):
     return rows
 
 
+def eccentricity_matrix_all_pairs(dist: SymMatrix) -> SymMatrix:
+    """The kept-entry rule on every entry of the all-pairs distance matrix:
+    keep d(u,v) iff it equals min(e(u), e(v)), with e the row maxima. It
+    needs no lemma about which vertices can hold a kept entry."""
+    n = dist.n
+    ecc = [max(row) for row in dist.rows]
+    out = []
+    for u in range(n):
+        du = dist.rows[u]
+        eu = ecc[u]
+        row = [0] * n
+        for v in range(n):
+            m = eu if eu < ecc[v] else ecc[v]
+            if du[v] == m and u != v:
+                row[v] = du[v]
+        out.append(row)
+    return SymMatrix(out)
+
+
 def tree_path_vertices(t: Tree, u: int, v: int):
     """Vertex list of the unique u-v path."""
     parent = {u: None}

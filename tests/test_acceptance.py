@@ -32,7 +32,7 @@ from eccmat.families import (
     spider,
     star,
 )
-from eccmat.graphs import distance_matrix
+from eccmat.graphs import eccentricity_rows
 from eccmat.matrices import (
     deep_mid_block,
     eccentricity_matrix,
@@ -287,18 +287,18 @@ def _fixed_matrix_pool():
             pool.append((f"even-core:d={d},l={l}", even_diameter_core(d, l)))
     for g, name in zip(diametrical_examples(),
                        ("cycle:4", "cycle:6", "hypercube:3", "cocktail:3")):
-        pool.append((name, eccentricity_matrix(distance_matrix(g))))
+        pool.append((name, eccentricity_matrix(*eccentricity_rows(g))))
     for n in range(3, 13):
-        pool.append((f"star:{n}", eccentricity_matrix(distance_matrix(star(n)))))
+        pool.append((f"star:{n}", eccentricity_matrix(*eccentricity_rows(star(n)))))
     for n in range(2, 13):
-        pool.append((f"path:{n}", eccentricity_matrix(distance_matrix(path(n)))))
+        pool.append((f"path:{n}", eccentricity_matrix(*eccentricity_rows(path(n)))))
     for n in range(4, 13):
-        pool.append((f"extremal:{n}", eccentricity_matrix(distance_matrix(min_radius_tree(n)))))
-    pool.append(("spider:3,2", eccentricity_matrix(distance_matrix(spider(3, 2)))))
+        pool.append((f"extremal:{n}", eccentricity_matrix(*eccentricity_rows(min_radius_tree(n)))))
+    pool.append(("spider:3,2", eccentricity_matrix(*eccentricity_rows(spider(3, 2)))))
     for n in range(7, 13):
         for i in range(10):
             t = pruefer_random(n, f"crit9:{n}:{i}")
-            pool.append((f"random:n={n},i={i}", eccentricity_matrix(distance_matrix(t))))
+            pool.append((f"random:n={n},i={i}", eccentricity_matrix(*eccentricity_rows(t))))
     return [(label, m) for label, m in pool if m.n <= 12]
 
 
@@ -321,7 +321,7 @@ def test_criterion_9_char_poly_routes(capsys, sweep_exhaustive, sweep_sampled):
     pool = _fixed_matrix_pool()
     for n in range(2, 7):
         for i, t in enumerate(enumerate_labeled_trees(n)):
-            pool.append((f"pruefer:n={n},i={i}", eccentricity_matrix(distance_matrix(t))))
+            pool.append((f"pruefer:n={n},i={i}", eccentricity_matrix(*eccentricity_rows(t))))
     for label, m in pool:
         coeffs = char_poly(m).coeffs
         if char_poly_leverrier(m).coeffs != coeffs:

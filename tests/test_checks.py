@@ -1,9 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
-from eccmat import checks
+from eccmat import checks, graphs
 from eccmat.checks import (
     FLOAT_TOL,
     TreeFacts,
@@ -35,10 +36,11 @@ from eccmat.families import (
     spider,
     star,
 )
+from eccmat.cli import main
 from eccmat.graphs import Tree
 from eccmat.matrices import SymMatrix
 
-from _oracles import pair_block_inertias_by_descartes
+from _oracles import floyd_warshall, pair_block_inertias_by_descartes
 
 
 class TestVerdictType:
@@ -440,6 +442,59 @@ class TestTreeChecks:
         facts = TreeFacts(path(4), corrupt=True)
         outcomes = [v.passed for v in tree_checks(facts)]
         assert not all(outcomes)
+
+
+class TestBfsBudget:
+    """A tree's matrix and metadata come from the BFS rows of its peripheral
+    vertices: distance_matrix is never called, and bfs_distances at most
+    3 + |P| times per tree, P the peripheral vertices."""
+
+    @pytest.fixture
+    def bfs_sources(self, monkeypatch):
+        """Refuse distance_matrix and count bfs_distances calls per graph,
+        at every eccmat module that binds them."""
+        real_bfs, real_dist = graphs.bfs_distances, graphs.distance_matrix
+        sources = {}
+
+        def counted(g, source):
+            sources.setdefault(g, []).append(source)
+            return real_bfs(g, source)
+
+        def refuse(g):
+            raise AssertionError("distance_matrix called")
+
+        for name, module in list(sys.modules.items()):
+            if name == "eccmat" or name.startswith("eccmat."):
+                for attr, fake, real in (("bfs_distances", counted, real_bfs), ("distance_matrix", refuse, real_dist)):
+                    if getattr(module, attr, None) is real:
+                        monkeypatch.setattr(module, attr, fake)
+        return sources
+
+    @staticmethod
+    def budget(t):
+        d = floyd_warshall(t)
+        diameter = max(map(max, d))
+        return 3 + sum(1 for row in d if max(row) == diameter)
+
+    def test_distance_matrix_refused_at_its_bindings(self, bfs_sources):
+        with pytest.raises(AssertionError, match="distance_matrix called"):
+            check_diametrical(cycle(4))
+
+    def test_tree_checks(self, bfs_sources):
+        trees = [path(2), path(9), star(12), spider(4, 3), min_radius_tree(20)]
+        trees += [pruefer_random(n, f"budget:{n}") for n in range(20, 61, 5)]
+        for t in trees:
+            assert all(v.passed for v in tree_checks(TreeFacts(t)))
+        assert list(bfs_sources) == trees
+        for t, calls in bfs_sources.items():
+            assert len(calls) <= self.budget(t), (t, calls)
+
+    def test_sweep(self, bfs_sources, capsys):
+        assert main(["sweep", "--n-from", "40", "--n-to", "45", "--samples", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["rows"]
+        assert [t.n for t in bfs_sources] == list(range(40, 46))
+        for t, calls in bfs_sources.items():
+            assert len(calls) <= self.budget(t), (t, calls)
 
 
 class TestTreeFacts:

@@ -19,7 +19,7 @@ from eccmat.exact import (
 )
 from eccmat.checks import min_radius_tree
 from eccmat.families import diametrical_examples, parse_family, path, pruefer_random, star
-from eccmat.graphs import distance_matrix
+from eccmat.graphs import eccentricity_rows
 from eccmat.matrices import (
     SymMatrix,
     _bareiss,
@@ -176,7 +176,7 @@ class TestGaussJordanRows:
 
     def test_trees(self):
         for n in range(13, 61):
-            self.check(eccentricity_matrix(distance_matrix(pruefer_random(n, f"jordan:{n}"))))
+            self.check(eccentricity_matrix(*eccentricity_rows(pruefer_random(n, f"jordan:{n}"))))
 
     def test_two_by_two_step_after_one_by_one_steps(self):
         # rank 4 of order 5 keeps no Jordan rows; the replay still applies
@@ -248,7 +248,7 @@ class TestLowRankRoute:
 
     def test_trees(self):
         for n in list(range(13, 61)) + [100]:
-            m = eccentricity_matrix(distance_matrix(pruefer_random(n, f"route:{n}")))
+            m = eccentricity_matrix(*eccentricity_rows(pruefer_random(n, f"route:{n}")))
             assert 2 * rank_exact(m) <= n
             self.agree(m)
 
@@ -318,7 +318,7 @@ class TestShiftedRoute:
     def test_diametrical_graphs(self, monkeypatch, tokens):
         # the shift is minus the diameter, the largest entry
         for token in tokens:
-            m = eccentricity_matrix(distance_matrix(parse_family(token)))
+            m = eccentricity_matrix(*eccentricity_rows(parse_family(token)))
             assert 2 * rank_exact(m) > m.n
             assert exact._twin_shift(m.rows)[0] == -m.max_abs(), token
             sizes = berkowitz_sizes(monkeypatch)
@@ -395,7 +395,7 @@ class TestShiftedRoute:
 
     def test_spiders_and_odd_cycles_fall_back(self):
         for token in ["spider:3,2", "spider:8,2", "cycle:5", "cycle:9", "cycle:15"]:
-            m = eccentricity_matrix(distance_matrix(parse_family(token)))
+            m = eccentricity_matrix(*eccentricity_rows(parse_family(token)))
             assert 2 * rank_exact(m) > m.n
             assert exact._twin_shift(m.rows) is None, token
             self.agree(m)
@@ -437,7 +437,7 @@ class TestInertiaExact:
 
 
 def ecc(g):
-    return eccentricity_matrix(distance_matrix(g))
+    return eccentricity_matrix(*eccentricity_rows(g))
 
 
 class TestInertiaOfMatrix:

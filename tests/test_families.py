@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eccmat.graphs import Graph, Tree, diametrical_pairing, distance_matrix, tree_meta
+from eccmat.graphs import Graph, Tree, diametrical_pairing, distance_matrix, eccentricity_rows, tree_meta
 from eccmat.families import (
     ENUMERATION_LIMIT,
     canonical_key,
@@ -21,7 +21,7 @@ from eccmat.families import (
     star,
 )
 
-from _oracles import pruefer_encode
+from _oracles import floyd_warshall, pruefer_encode
 
 # nonisomorphic trees on 1..9 vertices
 FREE_TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}
@@ -66,7 +66,7 @@ class TestCenterPendantTree:
             for a, b in ((0, 2), (1, 1), (2, 5)):
                 n = d + 1 + a + b
                 t = center_pendant_tree(n, d, a, b)
-                meta = tree_meta(t, distance_matrix(t))
+                meta = tree_meta(t, eccentricity_rows(t)[0])
                 assert meta.diameter == d
 
     @pytest.mark.parametrize(
@@ -89,7 +89,7 @@ class TestSpider:
         t = spider(3, 2)
         assert t.n == 7
         assert t.degree(0) == 3
-        meta = tree_meta(t, distance_matrix(t))
+        meta = tree_meta(t, eccentricity_rows(t)[0])
         assert meta.diameter == 4
         assert len(meta.distinguished) == 3
 
@@ -117,7 +117,8 @@ class TestPruefer:
         for i in range(50):
             t = pruefer_random(10, f"valid:{i}")
             assert t.n == 10 and len(t.edges()) == 9
-            distance_matrix(t)  # raises if disconnected
+            # connected by the cubic recurrence, not by Graph's own check
+            assert max(map(max, floyd_warshall(t))) < float("inf")
 
     def test_round_trip_identity_small_n(self):
         for n in range(3, 8):

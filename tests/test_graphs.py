@@ -11,23 +11,28 @@ from eccmat.graphs import (
     bfs_distances,
     diametrical_pairing,
     distance_matrix,
+    eccentricity_rows,
     read_graph,
     read_graph6,
     to_edge_list,
     tree_meta,
 )
+from eccmat.checks import min_radius_tree
 from eccmat.families import (
     cocktail_party,
     cycle,
     enumerate_labeled_trees,
     hypercube,
+    parse_family,
     path,
     pruefer_random,
     star,
 )
+from eccmat.matrices import eccentricity_matrix
 
 from _oracles import (
     distinguished_by_paths,
+    eccentricity_matrix_all_pairs,
     floyd_warshall,
     graph6_order,
     to_graph6,
@@ -94,39 +99,88 @@ class TestDistances:
         assert [list(r) for r in distance_matrix(Graph(1, [])).rows] == [[0]]
 
 
+class TestEccentricityRows:
+    """The double sweep and the peripheral sources against the all-pairs
+    route: every kept entry of a tree's eccentricity matrix has a
+    peripheral endpoint, so the sources' rows build the whole matrix."""
+
+    @staticmethod
+    def check(g):
+        dist = distance_matrix(g)
+        ecc, rows = eccentricity_rows(g)
+        assert ecc == tuple(max(row) for row in dist.rows)
+        assert eccentricity_matrix(ecc, rows) == eccentricity_matrix_all_pairs(dist)
+        for s, row in rows.items():
+            assert tuple(row) == dist.rows[s]
+        return ecc, rows
+
+    def test_all_labeled_trees_up_to_order_seven(self):
+        count = 0
+        for n in range(2, 8):
+            for t in enumerate_labeled_trees(n):
+                self.check(t)
+                count += 1
+        assert count == 18248
+
+    def test_random_trees(self):
+        for n in range(8, 121):
+            for i in range(30):
+                self.check(pruefer_random(n, f"sweep:{n}:{i}"))
+
+    def test_families(self):
+        tokens = ["path:1", "path:2"]
+        tokens += [f"star:{n}" for n in range(3, 31)]
+        tokens += [f"spider:{k},{l}" for k in range(2, 7) for l in range(1, 5)]
+        tokens += [f"tndab:{d + 1 + a + b},{d},{a},{b}" for d in (3, 5, 7) for a, b in ((0, 0), (0, 3), (1, 1), (2, 5))]
+        for token in tokens:
+            self.check(parse_family(token))
+        for n in range(4, 31):
+            self.check(min_radius_tree(n))
+
+    def test_tree_sources_are_the_peripheral_vertices(self):
+        for i in range(40):
+            t = pruefer_random(15, f"sources:{i}")
+            ecc, rows = self.check(t)
+            assert sorted(rows) == [v for v in range(t.n) if ecc[v] == max(ecc)]
+
+    @pytest.mark.parametrize("g", [cycle(5), cycle(8), hypercube(3), cocktail_party(3)])
+    def test_other_graphs_use_every_vertex(self, g):
+        _, rows = self.check(g)
+        assert sorted(rows) == list(range(g.n))
+
+
 class TestTreeMeta:
+    def test_eccentricities_are_row_maxima(self):
+        t = pruefer_random(12, "meta:ecc")
+        meta = tree_meta(t, eccentricity_rows(t)[0])
+        assert meta.ecc == tuple(max(row) for row in distance_matrix(t).rows)
+
     def test_path_odd_diameter_two_adjacent_centers(self):
         t = path(6)
-        meta = tree_meta(t, distance_matrix(t))
+        meta = tree_meta(t, eccentricity_rows(t)[0])
         assert meta.diameter == 5
         assert meta.centers == (2, 3)
         assert meta.distinguished == frozenset()
 
     def test_path_even_diameter_single_center(self):
         t = path(5)
-        meta = tree_meta(t, distance_matrix(t))
+        meta = tree_meta(t, eccentricity_rows(t)[0])
         assert meta.diameter == 4
         assert meta.centers == (2,)
         assert meta.distinguished == {1, 3}
 
     def test_star_center_and_no_distinguished(self):
         t = star(7)
-        meta = tree_meta(t, distance_matrix(t))
+        meta = tree_meta(t, eccentricity_rows(t)[0])
         assert meta.diameter == 2
         assert meta.centers == (0,)
         # with diameter 2 every leaf lies on a longest path
         assert meta.distinguished == frozenset(range(1, 7))
 
-    def test_eccentricities_are_row_maxima(self):
-        t = pruefer_random(12, "meta:ecc")
-        dist = distance_matrix(t)
-        meta = tree_meta(t, dist)
-        assert meta.ecc == tuple(max(row) for row in dist.rows)
-
     def test_distinguished_equals_longest_path_neighbors(self):
         count = 0
         for t in enumerate_labeled_trees(7):
-            meta = tree_meta(t, distance_matrix(t))
+            meta = tree_meta(t, eccentricity_rows(t)[0])
             if meta.diameter % 2 == 0 and meta.diameter >= 4:
                 assert meta.distinguished == distinguished_by_paths(t)
                 count += 1
@@ -136,7 +190,7 @@ class TestTreeMeta:
         hits = 0
         for i in range(60):
             t = pruefer_random(11, f"disting:{i}")
-            meta = tree_meta(t, distance_matrix(t))
+            meta = tree_meta(t, eccentricity_rows(t)[0])
             if meta.diameter % 2 == 0:
                 assert meta.distinguished == distinguished_by_paths(t)
                 hits += 1
@@ -147,18 +201,18 @@ class TestBranch:
     def test_odd_branch_shape(self):
         # each half of the path is keyed by its nearer center
         t = path(6)
-        assert tree_meta(t, distance_matrix(t)).branch == (2, 2, 2, 3, 3, 3)
+        assert tree_meta(t, eccentricity_rows(t)[0]).branch == (2, 2, 2, 3, 3, 3)
 
     def test_even_branch_shape(self):
         # the center keys itself, the rest by the center's neighbor
         t = path(5)
-        assert tree_meta(t, distance_matrix(t)).branch == (1, 1, 2, 3, 3)
+        assert tree_meta(t, eccentricity_rows(t)[0]).branch == (1, 1, 2, 3, 3)
 
     def test_key_is_center_or_on_path_from_center(self):
         parities = set()
         for i in range(40):
             t = pruefer_random(10, f"branch:{i}")
-            meta = tree_meta(t, distance_matrix(t))
+            meta = tree_meta(t, eccentricity_rows(t)[0])
             parities.add(meta.diameter % 2)
             for v in range(t.n):
                 if len(meta.centers) == 1:
@@ -174,7 +228,7 @@ class TestBranch:
         hits = 0
         for i in range(40):
             t = pruefer_random(10, f"branch-deep:{i}")
-            meta = tree_meta(t, distance_matrix(t))
+            meta = tree_meta(t, eccentricity_rows(t)[0])
             if meta.diameter % 2 == 1:
                 continue
             deep = {meta.branch[w] for w in range(t.n) if meta.ecc[w] == meta.diameter}

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from eccmat.families import cycle, path, pruefer_random, star
-from eccmat.graphs import distance_matrix
+from eccmat.graphs import eccentricity_rows
 from eccmat.matrices import (
     SymMatrix,
     bareiss_det,
@@ -59,17 +59,27 @@ class TestIntSymMatrix:
 class TestEccentricityMatrix:
     @pytest.mark.parametrize("g", [path(5), path(6), star(6), cycle(7)])
     def test_matches_definition(self, g):
-        m = eccentricity_matrix(distance_matrix(g))
+        m = eccentricity_matrix(*eccentricity_rows(g))
         assert [list(r) for r in m.rows] == ecc_entries_by_definition(g)
 
     def test_random_trees_match_definition(self):
         for i in range(30):
             t = pruefer_random(9, f"eccdef:{i}")
-            m = eccentricity_matrix(distance_matrix(t))
+            m = eccentricity_matrix(*eccentricity_rows(t))
             assert [list(r) for r in m.rows] == ecc_entries_by_definition(t)
 
+    def test_kept_entries_written_from_the_source_rows(self):
+        # path 0-1-2-3, e = (3, 2, 2, 3): the ends hold every kept entry,
+        # and an entry with no source endpoint stays 0
+        ecc = (3, 2, 2, 3)
+        ends = {0: [0, 1, 2, 3], 3: [3, 2, 1, 0]}
+        m = eccentricity_matrix(ecc, ends)
+        assert [list(r) for r in m.rows] == [[0, 0, 2, 3], [0, 0, 0, 2], [2, 0, 0, 0], [3, 2, 0, 0]]
+        m = eccentricity_matrix(ecc, {0: ends[0]})
+        assert [list(r) for r in m.rows] == [[0, 0, 2, 3], [0, 0, 0, 0], [2, 0, 0, 0], [3, 0, 0, 0]]
+
     def test_zero_diagonal(self):
-        m = eccentricity_matrix(distance_matrix(star(8)))
+        m = eccentricity_matrix(*eccentricity_rows(star(8)))
         assert all(m.rows[i][i] == 0 for i in range(8))
 
 
@@ -77,7 +87,7 @@ class TestIrreducibility:
     def test_tree_matrices_are_irreducible(self):
         for i in range(20):
             t = pruefer_random(8, f"irr:{i}")
-            assert is_irreducible(eccentricity_matrix(distance_matrix(t)))
+            assert is_irreducible(eccentricity_matrix(*eccentricity_rows(t)))
 
     def test_block_diagonal_is_reducible(self):
         m = SymMatrix([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0]])
@@ -132,7 +142,7 @@ class TestBuilders:
 
         d, l = 3, 3
         t = spider(l, d)
-        m = eccentricity_matrix(distance_matrix(t))
+        m = eccentricity_matrix(*eccentricity_rows(t))
         deep = [leg * d + d for leg in range(l)]
         mids = [leg * d + 1 for leg in range(l)]
         idx = deep + mids + [0]
@@ -261,7 +271,7 @@ class TestEliminationKernel:
         from eccmat.matrices import _bareiss
 
         for i in range(40):
-            m = eccentricity_matrix(distance_matrix(pruefer_random(9, f"kernel:{i}")))
+            m = eccentricity_matrix(*eccentricity_rows(pruefer_random(9, f"kernel:{i}")))
             steps = _bareiss([list(r) for r in m.rows])[0]
             cols = [q for _, q in steps]
             assert sorted(p for p, _ in steps) == sorted(cols)
