@@ -30,7 +30,6 @@ from .graphs import (
     Graph,
     Tree,
     diametrical_pairing,
-    distance_matrix,
     eccentricity_rows,
     tree_meta,
 )
@@ -422,11 +421,12 @@ def check_block_structure(f: TreeFacts) -> Verdict:
 def check_diametrical(g: Graph, label: str | None = None) -> Verdict:
     """A diametrical graph's eccentricity matrix is a scaled symmetric
     permutation with spectrum +diam and -diam, each of multiplicity n/2."""
-    pairing = diametrical_pairing(distance_matrix(g))
+    ecc, rows = eccentricity_rows(g)
+    pairing = diametrical_pairing(ecc, rows)
     if pairing is None:
         raise ValueError("graph is not diametrical")
     instance = label if label is not None else f"diametrical:n={g.n}"
-    m = eccentricity_matrix(*eccentricity_rows(g))
+    m = eccentricity_matrix(ecc, rows)
     # the diametral pairs keep their entries, so the largest is the diameter
     diam = m.max_abs()
     paired = all(pairing[pairing[v]] == v for v in pairing) and all(

@@ -2,7 +2,7 @@
 
 char_poly takes a symmetric integer matrix (SymMatrix holds ints only; a
 Schur complement comes as a positive integer multiple with the same
-inertia). It has three routes, all in Python big integers, and picks one
+inertia). It has two routes, both in Python big integers, and picks one
 from the rank r that the matrix's fraction-free elimination gives
 (SymMatrix.pivots):
 
@@ -14,19 +14,21 @@ from the rank r that the matrix's fraction-free elimination gives
   B = d M^-1 G = d A_QQ + X A_UQ needs no second elimination. Berkowitz
   runs on the r x r matrix B and its k-th coefficient is divided by d^k,
   a nonzero remainder raising ArithmeticError.
-- 2r > n with an integer c for which A - cI has at most n/2 distinct rows,
-  the shifted low-rank route (stars: c = -2; diametrical graphs: c = -diam).
-  That many rows bound the rank of A - cI by n/2, so the low-rank route
-  gives q = p_(A-cI), and p_A(x) = q(x - c) by an exact Taylor shift. The
-  candidate c comes from twins, rows u and v of A that agree off {u, v}
-  with a_uu = a_vv: their rows of A - cI are equal for c = a_uu - a_uv.
-- otherwise (spiders, odd cycles): the division-free Berkowitz recurrence
-  on the whole matrix, its matrix-vector products running over each row's
-  nonzero entries.
+- otherwise, the twin-class quotient. Rows u and v are twins when
+  a_uu = a_vv and they agree off {u, v}; this is an equivalence, and within
+  a class of size s the entry a_uv is one value b. The vectors on a class
+  that sum to zero are eigenvectors for D - b, D the class's diagonal, and
+  the vectors constant on each class span an invariant subspace on which A
+  acts as the k x k quotient Q, Q_ij = a_(rep i, rep j) s_j and
+  Q_ii = D_i + (s_i - 1) b_i (Godsil & Royle, Algebraic Graph Theory, 9.3).
+  So p_A = det(xI - Q) prod (x - (D_i - b_i))^(s_i - 1), and Berkowitz runs
+  on Q, its matrix-vector products running over each row's nonzero
+  entries. Stars have k = 2 and diametrical graphs k = n/2; with no twins
+  (spiders, odd cycles) k = n, Q is A, and the route is plain Berkowitz on
+  the whole matrix.
 
-Any c gives the same polynomial, so the choice of route affects speed only.
 The tests hold a Faddeev-LeVerrier implementation as an independent second
-route, and check every route against it and against Berkowitz on the whole
+route, and check both routes against it and against Berkowitz on the whole
 matrix.
 
 Inertia has two exact routes. inertia_of_matrix reads the signs of the
@@ -133,62 +135,54 @@ def _low_rank(m: SymMatrix):
     return coeffs + [0] * (m.n - len(pivots))
 
 
-def _twin_shift(a):
-    """(c, rows of A - cI) for an integer c at which A - cI has at most n/2
-    distinct rows, or None.
+def _twin_classes(a):
+    """The twin classes of a symmetric row list a, as lists of indices.
 
-    Twins share the key (a_uu, sorted row), so only a key held by more than
-    n/2 rows can give c; its first row u and the first other row v with
-    a_uv != 0 (else the second) propose c = a_uu - a_uv, and the rows of
-    A - cI certify it. The row sums, which twins share too, rule most
-    matrices out before any sort.
-    """
-    n = len(a)
-    sums = list(map(sum, a))
-    top = max(set(sums), key=sums.count)
-    if 2 * sums.count(top) <= n:
-        return None
-    groups = {}
+    Putting a class's inner value b on the diagonal makes its rows equal,
+    and a row u shares the key (a_uu, row u with b at u) with another row v
+    only when v is u's twin with a_uv = b. So each b in row u files u under
+    one key, and u joins the class of the first row that filed a key it
+    shares."""
+    first, classes = {}, {}
     for u, row in enumerate(a):
-        if sums[u] == top:
-            groups.setdefault((row[u], *sorted(row)), []).append(u)
-    group = max(groups.values(), key=len)
-    if 2 * len(group) <= n or len(group) < 2:
-        return None
-    u = group[0]
-    v = next((v for v in group[1:] if a[u][v]), group[1])
-    c = a[u][u] - a[u][v]
-    rows = [row[:i] + (row[i] - c,) + row[i + 1:] for i, row in enumerate(a)]
-    if 2 * len(set(rows)) > n:
-        return None
-    return c, rows
+        head, tail = row[:u], row[u + 1:]
+        rep = u
+        for b in set(row):
+            v = first.setdefault((row[u], head + (b,) + tail), u)
+            if v < rep:
+                rep = v
+        classes.setdefault(rep, []).append(u)
+    return list(classes.values())
 
 
-def _taylor_shift(q, c):
-    """Coefficients of q(x - c), highest degree first, by Horner's rule."""
-    p = []
-    for k in q:
-        # p <- p (x - c) + k
-        p = [s - c * t for s, t in zip(p + [0], [0] + p)]
-        p[-1] += k
-    return p
+def _quotient(a):
+    """Coefficients of p_A, highest degree first, as det(xI - Q) times
+    (x - (D_i - b_i))^(s_i - 1) over the twin classes of A."""
+    classes = _twin_classes(a)
+    # (rep, s, D, b); a singleton reads its diagonal as b and has no twin
+    cls = [(c[0], len(c), a[c[0]][c[0]], a[c[0]][c[-1]]) for c in classes]
+    q = [[a[r][t] * s for t, s, _, _ in cls] for r, _, _, _ in cls]
+    for i, (_, s, d, b) in enumerate(cls):
+        q[i][i] = d + (s - 1) * b
+    poly = _berkowitz(q)
+    for _, s, d, b in cls:
+        for _twin in range(s - 1):
+            # poly <- poly (x - (D - b))
+            poly = [p - (d - b) * t for p, t in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 def char_poly(m: SymMatrix) -> CharPoly:
     """Exact characteristic polynomial of a symmetric integer matrix.
 
     With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
-    block M = A_QQ, G = A_Q: A_:Q; otherwise the same from A - cI, shifted
-    back, for an integer c that twin rows propose and the distinct rows of
-    A - cI certify; failing that, Berkowitz runs on the whole matrix.
+    block M = A_QQ, G = A_Q: A_:Q; otherwise it is det(xI - Q) for the
+    quotient Q on the k twin classes, times one linear factor per twin
+    beyond each class's first. With no twins, k = n and Q is A itself.
     """
     if 2 * len(m.pivots) <= m.n:
         return CharPoly(tuple(_low_rank(m)))
-    shift = _twin_shift(m.rows)
-    if shift is None:
-        return CharPoly(tuple(_berkowitz(m.rows)))
-    c, rows = shift
-    return CharPoly(tuple(_taylor_shift(_low_rank(SymMatrix(rows)), c)))
+    return CharPoly(tuple(_quotient(m.rows)))
 
 
 def inertia_exact(p: CharPoly) -> Inertia:

@@ -11,14 +11,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .matrices import SymMatrix
-
 # Largest graph order accepted from input. Family tokens, edge-list and
 # graph6 headers and tree ranges above it are rejected before anything is
 # built: an eccentricity matrix on 1024 vertices already holds a million
 # entries (a tree runs BFS from its peripheral vertices only, any other
-# graph from every vertex), and a characteristic polynomial that no
-# low-rank route reaches (spiders, odd cycles) still costs n^4.
+# graph from every vertex), and a characteristic polynomial that neither
+# the low-rank route nor a twin-class quotient shrinks (spiders, odd
+# cycles) still costs n^4.
 MAX_ORDER = 1024
 
 # Largest --input file read, in bytes. An edge list of the complete graph at
@@ -109,11 +108,6 @@ def bfs_distances(g: Graph, source: int):
     return dist
 
 
-def distance_matrix(g: Graph) -> SymMatrix:
-    """All-pairs distances; symmetric with zero diagonal."""
-    return SymMatrix([bfs_distances(g, s) for s in range(g.n)])
-
-
 def eccentricity_rows(g: Graph):
     """(ecc, rows): the eccentricities of g, and a dict from each vertex
     that can hold a kept entry of the eccentricity matrix to its BFS row.
@@ -200,16 +194,19 @@ def tree_meta(t: Tree, ecc: tuple) -> TreeMeta:
     return TreeMeta(ecc, diameter, centers, tuple(branch), distinguished)
 
 
-def diametrical_pairing(dist: SymMatrix):
+def diametrical_pairing(ecc, rows):
     """The involution pairing each vertex with its unique diametral partner,
-    or None when some vertex has zero or several partners."""
-    diameter = max(max(row) for row in dist.rows)
+    or None when some vertex has zero or several partners.
+
+    ecc and rows are eccentricity_rows(g): a vertex below the diameter has
+    no partner, and every other vertex has its BFS row (a graph other than
+    a tree has every row, so its check runs one BFS per vertex)."""
+    diameter = max(ecc)
     pairing = {}
-    for v in range(dist.n):
-        partners = [w for w in range(dist.n) if dist.rows[v][w] == diameter]
-        if len(partners) != 1:
+    for v, e in enumerate(ecc):
+        if e != diameter or rows[v].count(diameter) != 1:
             return None
-        pairing[v] = partners[0]
+        pairing[v] = rows[v].index(diameter)
     return pairing
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from operator import mul
 
 from eccmat.exact import CharPoly, char_poly, inertia_exact
-from eccmat.graphs import Graph, Tree
+from eccmat.graphs import Graph, Tree, bfs_distances
 from eccmat.matrices import SymMatrix, bareiss_det, deep_mid_block, schur_complement
 
 
@@ -46,6 +46,12 @@ def to_graph6(g: Graph) -> str:
         for at in range(0, len(bits), 6)
     ]
     return graph6_order(n) + "".join(chr(63 + x) for x in body)
+
+
+def distance_matrix(g: Graph) -> SymMatrix:
+    """All-pairs distances by BFS from every vertex; symmetric with zero
+    diagonal."""
+    return SymMatrix([bfs_distances(g, s) for s in range(g.n)])
 
 
 def floyd_warshall(g: Graph):

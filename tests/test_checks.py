@@ -26,7 +26,7 @@ from eccmat.checks import (
     min_radius_tree,
     tree_checks,
 )
-from eccmat.exact import Inertia
+from eccmat.exact import CharPoly, Inertia
 from eccmat.families import (
     center_pendant_tree,
     cycle,
@@ -166,6 +166,15 @@ class TestDistinctCountCheck:
     def test_small_orders_rejected(self):
         with pytest.raises(ValueError):
             check_distinct_counts(TreeFacts(path(3)))
+
+    def test_three_on_even_diameter_fails(self):
+        # x (x^2 - 1)^2 has the three roots 0, 1, -1; path:5 has diameter 4
+        facts = TreeFacts(path(5))
+        facts.__dict__["poly"] = CharPoly((1, 0, -2, 0, 1, 0))
+        v = check_distinct_counts(facts)
+        assert not v.passed
+        assert (v.expected, v.computed) == (">=4", 3)
+        assert v.detail == "expected >=4, computed 3"
 
 
 class TestStarSpectrumCheck:
@@ -355,7 +364,7 @@ class TestClosedFormVerdict:
 
     def test_diametrical_pairing_mismatch_fails(self, monkeypatch):
         # pair each vertex of cycle:6 with its neighbor instead of its antipode
-        monkeypatch.setattr(checks, "diametrical_pairing", lambda dist: {v: v ^ 1 for v in range(dist.n)})
+        monkeypatch.setattr(checks, "diametrical_pairing", lambda ecc, rows: {v: v ^ 1 for v in range(len(ecc))})
         v = check_diametrical(cycle(6))
         assert not v.passed
         assert v.expected["paired_form"] is True and v.computed["paired_form"] is False
@@ -388,6 +397,18 @@ class TestFloatAgreement:
         for i in range(10):
             t = pruefer_random(10, f"fa:{i}")
             assert check_inertia_float_agreement(TreeFacts(t)).passed
+
+    @pytest.mark.parametrize("scale,inertia", [(0.5, Inertia(2, 2, 1)), (2.0, Inertia(3, 2, 0))])
+    def test_zero_band_is_the_default_width(self, scale, inertia):
+        # path:5 has inertia (2, 2, 1); its one zero eigenvalue is planted at
+        # a multiple of 1e-8 times the largest entry, 4
+        facts = TreeFacts(path(5))
+        values = sorted(facts.eigenvalues, key=abs)
+        values[0] = scale * 4e-8
+        facts.__dict__["eigenvalues"] = sorted(values, reverse=True)
+        v = check_inertia_float_agreement(facts)
+        assert v.computed == inertia
+        assert v.passed is (scale < 1)
 
 
 class TestOddCoreEigenvalues:
@@ -446,28 +467,23 @@ class TestTreeChecks:
 
 class TestBfsBudget:
     """A tree's matrix and metadata come from the BFS rows of its peripheral
-    vertices: distance_matrix is never called, and bfs_distances at most
-    3 + |P| times per tree, P the peripheral vertices."""
+    vertices, at most 3 + |P| bfs_distances calls per tree, P the peripheral
+    vertices; a diametrical graph's check runs one per vertex."""
 
     @pytest.fixture
     def bfs_sources(self, monkeypatch):
-        """Refuse distance_matrix and count bfs_distances calls per graph,
-        at every eccmat module that binds them."""
-        real_bfs, real_dist = graphs.bfs_distances, graphs.distance_matrix
+        """Count bfs_distances calls per graph, at every eccmat module that
+        binds it."""
+        real = graphs.bfs_distances
         sources = {}
 
         def counted(g, source):
             sources.setdefault(g, []).append(source)
-            return real_bfs(g, source)
-
-        def refuse(g):
-            raise AssertionError("distance_matrix called")
+            return real(g, source)
 
         for name, module in list(sys.modules.items()):
-            if name == "eccmat" or name.startswith("eccmat."):
-                for attr, fake, real in (("bfs_distances", counted, real_bfs), ("distance_matrix", refuse, real_dist)):
-                    if getattr(module, attr, None) is real:
-                        monkeypatch.setattr(module, attr, fake)
+            if (name == "eccmat" or name.startswith("eccmat.")) and getattr(module, "bfs_distances", None) is real:
+                monkeypatch.setattr(module, "bfs_distances", counted)
         return sources
 
     @staticmethod
@@ -476,9 +492,12 @@ class TestBfsBudget:
         diameter = max(map(max, d))
         return 3 + sum(1 for row in d if max(row) == diameter)
 
-    def test_distance_matrix_refused_at_its_bindings(self, bfs_sources):
-        with pytest.raises(AssertionError, match="distance_matrix called"):
-            check_diametrical(cycle(4))
+    def test_diametrical_graphs_run_bfs_once_per_vertex(self, bfs_sources):
+        battery = diametrical_examples()
+        assert all(check_diametrical(g).passed for g in battery)
+        assert list(bfs_sources) == battery
+        for g, calls in bfs_sources.items():
+            assert sorted(calls) == list(range(g.n)), (g.n, calls)
 
     def test_tree_checks(self, bfs_sources):
         trees = [path(2), path(9), star(12), spider(4, 3), min_radius_tree(20)]

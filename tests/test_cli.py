@@ -608,10 +608,13 @@ class TestSweepCommand:
 # recorded again when verify stopped echoing the tolerance flags it never
 # used; only their header line changed. The eight graph keys were
 # recorded again when spectrum lost --tol and --group-tol; only the two
-# config keys left its reports. Since the shifted low-rank characteristic
-# polynomial, star:37 and hypercube:5 cover that route (c = -2 and c = -5)
-# and spider:3,2 covers Berkowitz on the whole matrix; their digests did
-# not change. A key with a space is a
+# config keys left its reports. The characteristic polynomial's routes are
+# all pinned: trees of order 40..60 take the low-rank route, and every
+# graph key takes the twin-class quotient, star:37 with 2 classes,
+# hypercube:5 and cocktail:19 with n/2, and spider:3,2 and cycle:7, which
+# have no twins, with k = n (Berkowitz on the whole matrix). cycle:7 and
+# cocktail:19 were recorded before the quotient replaced the shifted
+# low-rank route, and no digest changed with it. A key with a space is a
 # command line; the eight reports of one graph are hashed together, in the
 # loop order below.
 GOLDEN_DIGESTS = {
@@ -626,6 +629,8 @@ GOLDEN_DIGESTS = {
     "cycle:6": "e0a94a35165b7f2d81f34a209391c0393a2b55d24945244ae77f484c329f9635",
     "hypercube:3": "16b64b4f408e1aeb31f3f25ddab06cfe090f12405f263396dc1f21ad72912ab5",
     "cocktail:3": "3d193ef2b61834fbb6562fa4f7057f945cba37ca4fd7055f0680a13c6691ee83",
+    "cycle:7": "dea1a3d1363fc90ad60a6492aae365ff0d54327fb76e3c1d8da8b316f9efdd50",
+    "cocktail:19": "57438d0b394fb1347ab8af6e6ba28011dc291215372f4b388ee7b194b30321d0",
     "hypercube:5": "5c057409a76de4cc758be6570305582cedea974d362d6794e9ce0e96cc55460d",
     "star:37": "8ad6d025b4d8657ad52e6ef8ddfe4e1f5d44aae9cd54ebe7075734e4a84cbc04",
     "verify --family cycle:6": "2ca42d82222a7fcc2f74264e29d9b89bb7056e03d1461f5780d27d7e958e475e",

@@ -252,9 +252,17 @@ class TestLowRankRoute:
             assert 2 * rank_exact(m) <= n
             self.agree(m)
 
+    def test_indivisible_coefficient_raises(self, monkeypatch):
+        # a pivot power one off from +-det M leaves a remainder
+        jordan = SymMatrix.jordan.fget
+        monkeypatch.setattr(SymMatrix, "jordan", property(lambda m: (jordan(m)[0], jordan(m)[1] + 1)))
+        with pytest.raises(ArithmeticError, match="not divisible by the pivot power"):
+            char_poly(TreeFacts(path(9)).matrix)
+
     def test_berkowitz_runs_on_the_pivot_block(self, monkeypatch):
-        # path:9 has rank 4; star:9 is shifted by c = -2 to rank 2; spider:3,2
-        # (rank 6 of order 7) has no shift and runs on the whole matrix
+        # path:9 has rank 4; star:9 has two twin classes, its leaves and its
+        # center; spider:3,2 (rank 6 of order 7) has no twins and runs on
+        # the whole matrix
         sizes = berkowitz_sizes(monkeypatch)
         char_poly(TreeFacts(path(9)).matrix)
         char_poly(TreeFacts(star(9)).matrix)
@@ -278,26 +286,31 @@ def berkowitz_sizes(monkeypatch):
     return sizes
 
 
-def planted_twins(n, k, c, rng, w=2):
-    """A random symmetric n x n matrix whose rows on a random k-set are
-    equal in A - cI: they agree off the set, hold w between each other and
-    w + c on the diagonal."""
+def planted_twins(n, classes, rng):
+    """A random symmetric n x n matrix with a twin class planted on disjoint
+    random index sets for each (s, D, b) in classes: s rows that hold D on
+    the diagonal and b between each other, and agree off the class. Every
+    entry between two classes (or singletons) is one random value."""
+    label = list(range(n))
+    order = rng.sample(range(n), sum(s for s, _, _ in classes))
+    value = {}
+    for s, d, b in classes:
+        members, order = order[:s], order[s:]
+        for u in members:
+            label[u] = members[0]
+        value[members[0], members[0], True], value[members[0], members[0], False] = d, b
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            rows[i][j] = rows[j][i] = rng.randint(-4, 4)
-    twins = set(rng.sample(range(n), k))
-    border = [rng.randint(-4, 4) for _ in range(n)]
-    for u in twins:
-        for j in range(n):
-            rows[u][j] = rows[j][u] = (w + c * (u == j)) if j in twins else border[j]
+            key = (*sorted((label[i], label[j])), i == j)
+            rows[i][j] = rows[j][i] = value.setdefault(key, rng.randint(-4, 4))
     return SymMatrix(rows)
 
 
-class TestShiftedRoute:
-    """With 2 rank > n and an integer c at which A - cI has at most n/2
-    distinct rows, char_poly shifts the low-rank polynomial of A - cI back
-    by c; it must equal full-matrix Berkowitz and Faddeev-LeVerrier."""
+class TestQuotientRoute:
+    """With 2 rank > n, char_poly runs Berkowitz on the quotient over the
+    twin classes and multiplies in the structural eigenvalues; it must equal
+    full-matrix Berkowitz and Faddeev-LeVerrier."""
 
     @staticmethod
     def agree(m):
@@ -316,14 +329,14 @@ class TestShiftedRoute:
         ids=["even-cycles", "cocktails", "hypercubes"],
     )
     def test_diametrical_graphs(self, monkeypatch, tokens):
-        # the shift is minus the diameter, the largest entry
+        # the classes are the diametral pairs: cycle:2k and cocktail:k have
+        # k of them, hypercube:d 2^(d-1)
         for token in tokens:
             m = eccentricity_matrix(*eccentricity_rows(parse_family(token)))
             assert 2 * rank_exact(m) > m.n
-            assert exact._twin_shift(m.rows)[0] == -m.max_abs(), token
             sizes = berkowitz_sizes(monkeypatch)
             self.agree(m)
-            assert 2 * sizes[0] <= m.n, token
+            assert sizes[0] == m.n // 2, token
 
     def test_stars(self, monkeypatch):
         # Faddeev-LeVerrier grows as n^5 in Python; past n = 40 the closed
@@ -337,74 +350,82 @@ class TestShiftedRoute:
             assert p == tuple(poly_mul([1, -2 * (n - 2), -(n - 1)], binomial)), n
             if n <= 40:
                 assert p == char_poly_leverrier(m).coeffs, n
-            # star:2 is K2, shifted by -1 to rank 1; star:3 (path:3) is not
-            # shifted; from star:4 on c = -2 leaves rank 2
-            assert sizes[0] == (1 if n == 2 else 3 if n == 3 else 2), n
+            # star:2 is K2, one class; from star:3 (path:3) on, the leaves
+            # and the center
+            assert sizes[0] == (1 if n == 2 else 2), n
 
     def test_planted_twins(self, monkeypatch):
         rng = random.Random(97)
-        shifted = 0
+        quotients = 0
         for n in range(2, 13):
-            for k in range(2, n + 1):
-                for c in (-5, -1, 1, 3):
-                    m = planted_twins(n, k, c, rng)
-                    sizes = berkowitz_sizes(monkeypatch)
-                    self.agree(m)
-                    shifted += 2 * sizes[0] <= n < 2 * rank_exact(m)
-        assert shifted >= 100
+            for _ in range(40):
+                sizes = []
+                while sum(sizes) < n and rng.random() < 0.8:
+                    sizes.append(rng.randint(2, max(2, (n - sum(sizes)) // 2 + 1)))
+                while sum(sizes) > n:
+                    sizes.pop()
+                classes = [(s, rng.randint(-4, 4), rng.randint(-4, 4)) for s in sizes]
+                m = planted_twins(n, classes, rng)
+                found = exact._twin_classes(m.rows)
+                assert sorted(u for c in found for u in c) == list(range(n))
+                for c in found:
+                    assert all(m.rows[c[0]][u] == m.rows[c[-1]][u] for u in range(n) if u not in c)
+                planted = n - sum(s - 1 for s in sizes)
+                assert len(found) <= planted
+                berkowitz = berkowitz_sizes(monkeypatch)
+                self.agree(m)
+                if 2 * rank_exact(m) > n:
+                    assert berkowitz[0] == len(found)
+                    quotients += len(sizes) >= 2
+        assert quotients >= 100
 
-    def test_one_by_one_falls_back(self, monkeypatch):
+    def test_one_by_one(self, monkeypatch):
         sizes = berkowitz_sizes(monkeypatch)
         assert char_poly(SymMatrix([[7]])).coeffs == (1, -7)
         assert sizes == [1]
 
     def test_two_by_two(self, monkeypatch):
-        # equal diagonal: c = 3 - 5 leaves the rank-1 matrix 5J
+        # equal diagonal: one class, D - b = 3 - 5 and Q = [3 + 5]
         sizes = berkowitz_sizes(monkeypatch)
         assert self.agree(SymMatrix([[3, 5], [5, 3]])) == (1, -6, -16)
         assert sizes[0] == 1
-        # unequal diagonal: no twins
+        # unequal diagonal: no twins, Q is A
         sizes = berkowitz_sizes(monkeypatch)
         assert self.agree(SymMatrix([[3, 5], [5, 4]])) == (1, -7, -13)
         assert sizes[0] == 2
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11])
-    def test_twin_class_at_the_threshold(self, monkeypatch, n):
-        # k twins leave n - k + 1 distinct rows in A - cI, certified when
-        # 2(n - k + 1) <= n. k = n // 2 fails the key count; for odd n,
-        # k = n // 2 + 1 passes it but leaves one distinct row too many.
+    def test_one_class_of_every_size(self, monkeypatch, n):
+        # no size threshold: a class of any size k leaves a quotient of
+        # order at most n - k + 1 (random singletons may be twins too)
         rng = random.Random(n)
-        for k, certified in ((n // 2, False), (n // 2 + 1, n % 2 == 0), (n - n // 2 + 1, True)):
-            for c in (-3, 2):
-                m = planted_twins(n, k, c, rng)
+        for k in range(2, n + 1):
+            for d, b in ((0, 3), (2, -1)):
+                m = planted_twins(n, [(k, d, b)], rng)
                 assert 2 * rank_exact(m) > n
+                found = exact._twin_classes(m.rows)
+                assert max(map(len, found)) >= k and len(found) <= n - k + 1
                 sizes = berkowitz_sizes(monkeypatch)
                 self.agree(m)
-                assert (sizes[0] < n) == certified, (k, c)
+                assert sizes[0] == len(found), (k, d, b)
 
-    def test_zero_shift_candidate_falls_back(self, monkeypatch):
-        # five equal rows of A (c = 0) among nine: A has five distinct rows,
-        # so A - 0I does not certify a shift
+    def test_equal_rows_are_twins(self, monkeypatch):
+        # five equal rows of A among nine: one class with D = b, whose four
+        # structural eigenvalues are zero
         rng = random.Random(3)
-        m = planted_twins(9, 5, 0, rng)
+        m = planted_twins(9, [(5, 2, 2)], rng)
         assert rank_exact(m) == 5
-        assert exact._twin_shift(m.rows) is None
         sizes = berkowitz_sizes(monkeypatch)
-        self.agree(m)
-        assert sizes[0] == 9
+        assert self.agree(m)[-4:] == (0, 0, 0, 0)
+        assert sizes[0] == 5
 
-    def test_spiders_and_odd_cycles_fall_back(self):
+    def test_spiders_and_odd_cycles_have_no_twins(self, monkeypatch):
         for token in ["spider:3,2", "spider:8,2", "cycle:5", "cycle:9", "cycle:15"]:
             m = eccentricity_matrix(*eccentricity_rows(parse_family(token)))
             assert 2 * rank_exact(m) > m.n
-            assert exact._twin_shift(m.rows) is None, token
+            sizes = berkowitz_sizes(monkeypatch)
             self.agree(m)
-
-    def test_taylor_shift(self):
-        # q(x) = x^2 - 1 shifted by c = 2 is (x - 2)^2 - 1 = x^2 - 4x + 3
-        assert exact._taylor_shift([1, 0, -1], 2) == [1, -4, 3]
-        assert exact._taylor_shift([1, 0, 0, 0], -1) == [1, 3, 3, 1]
-        assert exact._taylor_shift([1], 5) == [1]
+            assert sizes[0] == m.n, token
 
 
 class TestInertiaExact:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from eccmat.graphs import Graph, Tree, diametrical_pairing, distance_matrix, eccentricity_rows, tree_meta
+from eccmat.graphs import Graph, Tree, diametrical_pairing, eccentricity_rows, tree_meta
 from eccmat.families import (
     ENUMERATION_LIMIT,
     canonical_key,
@@ -207,7 +207,7 @@ class TestFixedGraphs:
         gs = diametrical_examples()
         assert len(gs) == 4
         for g in gs:
-            assert diametrical_pairing(distance_matrix(g)) is not None
+            assert diametrical_pairing(*eccentricity_rows(g)) is not None
 
 
 class TestParseFamily:

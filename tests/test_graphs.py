@@ -10,7 +10,6 @@ from eccmat.graphs import (
     Tree,
     bfs_distances,
     diametrical_pairing,
-    distance_matrix,
     eccentricity_rows,
     read_graph,
     read_graph6,
@@ -31,6 +30,7 @@ from eccmat.families import (
 from eccmat.matrices import eccentricity_matrix
 
 from _oracles import (
+    distance_matrix,
     distinguished_by_paths,
     eccentricity_matrix_all_pairs,
     floyd_warshall,
@@ -243,7 +243,7 @@ class TestDiametricalPairing:
     @pytest.mark.parametrize("g,expect_diam", [(cycle(4), 2), (cycle(6), 3), (hypercube(3), 3), (cocktail_party(3), 2)])
     def test_examples_have_involutive_pairing(self, g, expect_diam):
         dist = distance_matrix(g)
-        pairing = diametrical_pairing(dist)
+        pairing = diametrical_pairing(*eccentricity_rows(g))
         assert pairing is not None
         assert max(max(r) for r in dist.rows) == expect_diam
         for v, w in pairing.items():
@@ -252,11 +252,11 @@ class TestDiametricalPairing:
 
     def test_path_has_no_pairing(self):
         t = path(4)
-        assert diametrical_pairing(distance_matrix(t)) is None
+        assert diametrical_pairing(*eccentricity_rows(t)) is None
 
     def test_odd_cycle_has_no_pairing(self):
         g = cycle(5)
-        assert diametrical_pairing(distance_matrix(g)) is None
+        assert diametrical_pairing(*eccentricity_rows(g)) is None
 
 
 class TestEdgeListFormat:
