@@ -87,9 +87,11 @@ class TreeFacts:
     The tree must have n >= 2 vertices (ValueError otherwise): the paper's
     results are about trees with at least one edge. The eccentricities and
     the peripheral vertices' BFS rows (graphs.eccentricity_rows) are
-    computed once and feed both meta and matrix. The matrix keeps its
-    one fraction-free elimination (SymMatrix.pivots): the characteristic
-    polynomial, the rank check and the minor-sign inertia all read it.
+    computed once and feed both meta and matrix. The characteristic
+    polynomial comes from the matrix's twin quotient and zero block, with
+    no elimination; the matrix's one fraction-free elimination
+    (SymMatrix.pivots) runs only when the rank check or the minor-sign
+    inertia reads it, so the two inertias share no computation.
     corrupt=True bumps one off-diagonal entry pair of the eccentricity
     matrix by 1; it exists solely as a negative-control hook.
     """
@@ -429,7 +431,9 @@ def check_diametrical(g: Graph, label: str | None = None) -> Verdict:
     m = eccentricity_matrix(ecc, rows)
     # the diametral pairs keep their entries, so the largest is the diameter
     diam = m.max_abs()
-    paired = all(pairing[pairing[v]] == v for v in pairing) and all(
+    # on a symmetric matrix this makes the pairing an involution: row p(u)
+    # holds diam at u, and only at p(p(u))
+    paired = all(
         m.rows[u][v] == (diam if pairing[u] == v else 0) for u in range(g.n) for v in range(g.n)
     )
     closed_form = [float(diam)] * (g.n // 2) + [float(-diam)] * (g.n // 2)

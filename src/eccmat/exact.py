@@ -2,38 +2,46 @@
 
 char_poly takes a symmetric integer matrix (SymMatrix holds ints only; a
 Schur complement comes as a positive integer multiple with the same
-inertia). It has two routes, both in Python big integers, and picks one
-from the rank r that the matrix's fraction-free elimination gives
-(SymMatrix.pivots):
+inertia). It has one route, in Python big integers and with no division
+and no elimination:
 
-- 2r <= n, the low-rank route (a tree's eccentricity matrix has rank 4 or
-  2l). The pivot indices Q give a nonsingular principal block M = A_QQ,
-  and p_A(x) = x^(n-r) det(xM - G) / det M with G = A_Q: A_:Q. The
-  elimination's own pivot rows, in Gauss-Jordan form, hold X = d M^-1 A_QU
-  on the unpivoted indices U, d = +-det M (SymMatrix.jordan), so
-  B = d M^-1 G = d A_QQ + X A_UQ needs no second elimination. Berkowitz
-  runs on the r x r matrix B and its k-th coefficient is divided by d^k,
-  a nonzero remainder raising ArithmeticError.
-- otherwise, the twin-class quotient. Rows u and v are twins when
-  a_uu = a_vv and they agree off {u, v}; this is an equivalence, and within
-  a class of size s the entry a_uv is one value b. The vectors on a class
-  that sum to zero are eigenvectors for D - b, D the class's diagonal, and
-  the vectors constant on each class span an invariant subspace on which A
-  acts as the k x k quotient Q, Q_ij = a_(rep i, rep j) s_j and
+- the twin-class quotient. Rows u and v are twins when a_uu = a_vv and
+  they agree off {u, v}; this is an equivalence, and within a class of size
+  s the entry a_uv is one value b. The vectors on a class that sum to zero
+  are eigenvectors for D - b, D the class's diagonal, and the vectors
+  constant on each class span an invariant subspace on which A acts as the
+  k x k quotient Q, Q_ij = a_(rep i, rep j) s_j and
   Q_ii = D_i + (s_i - 1) b_i (Godsil & Royle, Algebraic Graph Theory, 9.3).
-  So p_A = det(xI - Q) prod (x - (D_i - b_i))^(s_i - 1), and Berkowitz runs
-  on Q, its matrix-vector products running over each row's nonzero
-  entries. Stars have k = 2 and diametrical graphs k = n/2; with no twins
-  (spiders, odd cycles) k = n, Q is A, and the route is plain Berkowitz on
-  the whole matrix.
+  So p_A = det(xI - Q) prod (x - (D_i - b_i))^(s_i - 1).
+- then Q's zero block. Take a zero principal block N of Q (Q_ii = 0, and
+  Q_ij = 0 for i, j in N) and let S be the other classes, so that
+  Q = [[A, B], [C, 0]] on (S, N). When |N| > |S|, det(xI - Q) =
+  x^(|N| - |S|) det(xI - L) for the 2|S| x 2|S| matrix L = [[A, BC], [I, 0]],
+  both sides being x^(|N| - 2|S|) det(x^2 I - xA - BC) (the saddle-point
+  form; Benzi, Golub & Liesen, Acta Numerica 14, 2005). This holds for any
+  zero block and does not need Q symmetric. Berkowitz runs on L, or else
+  on Q, its matrix-vector products running over each row's nonzero entries.
+
+On a tree with diameter >= 3 this order is the rank, 4 or 2l. A peripheral
+vertex's row depends only on its branch, and any other vertex's row only
+on (branch, eccentricity) (checks.check_block_structure), so both kinds
+come in twin classes, and the non-peripheral classes are a zero block of Q.
+The peripheral classes number 2 for odd diameter and l for even diameter;
+a non-peripheral class row has at most l nonzeros and a peripheral one at
+least 2l - 1 (odd diameter: 1 against 2 or more), so the block that
+_zero_block finds by ascending nonzero count is exactly the
+non-peripheral classes. Stars have k = 2 and diametrical graphs k = n/2;
+a spider has no twins, but its center and middle vertices are a zero
+block, so Berkowitz runs on order n - 1. Odd cycles have neither, so the
+route is plain Berkowitz on the whole matrix.
 
 The tests hold a Faddeev-LeVerrier implementation as an independent second
-route, and check both routes against it and against Berkowitz on the whole
+route, and check the route against it and against Berkowitz on the whole
 matrix.
 
-Inertia has two exact routes. inertia_of_matrix reads the signs of the
-leading principal minors along the matrix's symmetric elimination
-(SymMatrix.n_minus), with no polynomial. inertia_exact applies Descartes'
+Inertia has two exact routes that share no computation. inertia_of_matrix
+reads the signs of the leading principal minors along the matrix's
+symmetric elimination (SymMatrix.n_minus), with no polynomial. inertia_exact applies Descartes'
 rule of signs to the characteristic polynomial; it counts positive roots
 exactly for polynomials whose roots are all real, which holds for
 characteristic polynomials of symmetric matrices, the only inputs this
@@ -86,53 +94,30 @@ def _berkowitz(a):
     """Coefficients of det(xI - a), highest degree first, for a square row
     list a of ints (symmetric or not), by the division-free Berkowitz
     recurrence. Its matrix-vector products run over the nonzero (j, a_ij)
-    pairs of each row of the leading block."""
+    pairs of each row of the leading block, and stop once the vector is
+    zero, since every later term is zero too."""
     poly = [1]
     lead = []  # lead[i]: the nonzero (j, a_ij) of row i with j < r
     for r, row in enumerate(a):
         left = [(j, x) for j, x in enumerate(row[:r]) if x]
         col = [a[i][r] for i in range(r)]
-        q = [1, -row[r]]
-        if r:
-            v = col
+        q, v = [1, -row[r]], col
+        while left and any(v):
             q.append(-sum(x * v[j] for j, x in left))
-            for _ in range(r - 1):
-                v = [sum(x * v[j] for j, x in pairs) for pairs in lead]
-                q.append(-sum(x * v[j] for j, x in left))
+            if len(q) == r + 2:
+                break
+            v = [sum(x * v[j] for j, x in pairs) for pairs in lead]
         new = [0] * (r + 2)
         for j, pj in enumerate(poly):
             if pj:
-                for i in range(r + 2 - j):
-                    new[i + j] += q[i] * pj
+                for i, qi in enumerate(q[:r + 2 - j]):
+                    new[i + j] += qi * pj
         poly = new
         for i, x in enumerate(col):
             if x:
                 lead[i].append((r, x))
         lead.append(left + [(r, row[r])] if row[r] else left)
     return poly
-
-
-def _low_rank(m: SymMatrix):
-    """Coefficients of p_A for a matrix of rank r with 2r <= n, from
-    x^(n-r) det(xI - M^-1 G), M = A_QQ the pivot block and G = A_Q: A_:Q."""
-    a, pivots = m.rows, m.pivots
-    # M^-1 G = M + M^-1 A_QU A_UQ, so B = d M^-1 G = d A_QQ + X A_UQ
-    x, d = m.jordan
-    pivoted = set(pivots)
-    rest = [c for c in range(m.n) if c not in pivoted]
-    border = [[a[s][c] for c in rest] for s in pivots]  # A_QU, whose columns are A_UQ's
-    b = [
-        [d * a[q][s] + sum(u * v for u, v in zip(xq, cs)) for s, cs in zip(pivots, border)]
-        for q, xq in zip(pivots, x)
-    ]
-    coeffs, scale = [], 1
-    for c in _berkowitz(b):
-        q, rem = divmod(c, scale)
-        if rem:
-            raise ArithmeticError("low-rank coefficient is not divisible by the pivot power")
-        coeffs.append(q)
-        scale *= d
-    return coeffs + [0] * (m.n - len(pivots))
 
 
 def _twin_classes(a):
@@ -155,33 +140,59 @@ def _twin_classes(a):
     return list(classes.values())
 
 
+def _zero_block(q):
+    """A zero principal block N of the square row list q, whose zero
+    pattern is symmetric: q_ii = 0 and q_ij = 0 for i, j in N. Rows are
+    taken by ascending nonzero count, each one that is zero on N so far."""
+    block = []
+    for i in sorted(range(len(q)), key=lambda i: len(q) - q[i].count(0)):
+        row = q[i]
+        if not row[i] and not any(row[j] for j in block):
+            block.append(i)
+    return block
+
+
 def _quotient(a):
     """Coefficients of p_A, highest degree first, as det(xI - Q) times
-    (x - (D_i - b_i))^(s_i - 1) over the twin classes of A."""
+    (x - (D_i - b_i))^(s_i - 1) over the twin classes of A, with det(xI - Q)
+    from Q's zero block when that block is the larger part."""
     classes = _twin_classes(a)
     # (rep, s, D, b); a singleton reads its diagonal as b and has no twin
     cls = [(c[0], len(c), a[c[0]][c[0]], a[c[0]][c[-1]]) for c in classes]
     q = [[a[r][t] * s for t, s, _, _ in cls] for r, _, _, _ in cls]
     for i, (_, s, d, b) in enumerate(cls):
         q[i][i] = d + (s - 1) * b
-    poly = _berkowitz(q)
+    block = _zero_block(q)
+    if 2 * len(block) > len(q):
+        # Q = [[A, B], [C, 0]] on (S, N): det(xI - Q) = x^(|N| - 2|S|)
+        # det(x^2 I - xA - BC), which is x^(|N| - |S|) det(xI - L) for
+        # L = [[A, BC], [I, 0]]
+        zero = set(block)
+        rest = [i for i in range(len(q)) if i not in zero]
+        top = [
+            [q[i][j] for j in rest] + [sum(q[i][w] * q[w][j] for w in block) for j in rest]
+            for i in rest
+        ]
+        bottom = [[int(i == j) for j in rest] + [0] * len(rest) for i in rest]
+        poly = _berkowitz(top + bottom) + [0] * (len(block) - len(rest))
+    else:
+        poly = _berkowitz(q)
     for _, s, d, b in cls:
         for _twin in range(s - 1):
-            # poly <- poly (x - (D - b))
-            poly = [p - (d - b) * t for p, t in zip(poly + [0], [0] + poly)]
+            # poly <- poly (x - (D - b)); most of a tree's twins have
+            # D = b = 0, where appending the zero root is far cheaper
+            poly = poly + [0] if d == b else [p - (d - b) * t for p, t in zip(poly + [0], [0] + poly)]
     return poly
 
 
 def char_poly(m: SymMatrix) -> CharPoly:
     """Exact characteristic polynomial of a symmetric integer matrix.
 
-    With rank r and 2r <= n it is x^(n-r) det(xI - M^-1 G) from the pivot
-    block M = A_QQ, G = A_Q: A_:Q; otherwise it is det(xI - Q) for the
-    quotient Q on the k twin classes, times one linear factor per twin
-    beyond each class's first. With no twins, k = n and Q is A itself.
+    It is det(xI - Q) for the quotient Q on the k twin classes, times one
+    linear factor per twin beyond each class's first. When Q has a zero
+    principal block N larger than the rest S, Berkowitz runs on an order
+    2|S| matrix instead of Q. With no twins, k = n and Q is A itself.
     """
-    if 2 * len(m.pivots) <= m.n:
-        return CharPoly(tuple(_low_rank(m)))
     return CharPoly(tuple(_quotient(m.rows)))
 
 

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 # graph6 headers and tree ranges above it are rejected before anything is
 # built: an eccentricity matrix on 1024 vertices already holds a million
 # entries (a tree runs BFS from its peripheral vertices only, any other
-# graph from every vertex), and a characteristic polynomial that neither
-# the low-rank route nor a twin-class quotient shrinks (spiders, odd
-# cycles) still costs n^4.
+# graph from every vertex), and a characteristic polynomial that neither a
+# twin-class quotient nor a zero block shrinks (odd cycles) still costs
+# n^4. Low rank alone does not shrink it: a non-tree graph of rank r
+# (2r <= n) can run Berkowitz on an order above r.
 MAX_ORDER = 1024
 
 # Largest --input file read, in bytes. An edge list of the complete graph at

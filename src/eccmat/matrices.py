@@ -4,11 +4,11 @@ One matrix type lives here: an immutable symmetric matrix of Python ints,
 the only number type of the exact layer. One fraction-free elimination
 kernel with one pivot rule (1 x 1 and 2 x 2 diagonal steps) serves the
 determinant, the Schur complement (a positive integer multiple, so that it
-stays in the same type) and each SymMatrix, which runs it once: its pivots
-give the rank, the signs of its leading principal minors the inertia, and
-at rank r with 2r <= n its pivot rows, brought to Gauss-Jordan form, the
-block the low-rank characteristic polynomial works from. Everything is
-exact, so there is no floating-point fallback anywhere in this module.
+stays in the same type) and each SymMatrix, which runs it once, on first
+use: its pivots give the rank and the signs of its leading principal
+minors the inertia. The characteristic polynomial does not read it.
+Everything is exact, so there is no floating-point fallback anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class SymMatrix:
     """Symmetric matrix of Python ints; any other entry type (bool, float,
     a rational) raises ValueError."""
 
-    __slots__ = ("n", "rows", "_pivots", "_n_minus", "_jordan")
+    __slots__ = ("n", "rows", "_pivots", "_n_minus")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -38,15 +38,11 @@ class SymMatrix:
         self.rows = rows
         self._pivots = None
         self._n_minus = None
-        self._jordan = None
 
     def _eliminate(self):
         if self._pivots is None:
-            a = [list(r) for r in self.rows]
-            steps, _, last, self._n_minus = _bareiss(a)
+            steps, _, _, self._n_minus = _bareiss([list(r) for r in self.rows])
             self._pivots = tuple(q for _, q in steps)
-            if 2 * len(steps) <= self.n:
-                self._jordan = (_gauss_jordan(a, steps), last)
 
     @property
     def pivots(self) -> tuple:
@@ -65,15 +61,6 @@ class SymMatrix:
         principal minors along the same elimination."""
         self._eliminate()
         return self._n_minus
-
-    @property
-    def jordan(self):
-        """(X, d) when the rank r has 2r <= n, else None: d is the last
-        pivot of the same elimination (+-det M for the pivot block M), and
-        X the r x (n - r) matrix d * M^-1 A_QU, rows in pivot order and
-        columns the unpivoted indices U in ascending order."""
-        self._eliminate()
-        return self._jordan
 
     def submatrix(self, indices) -> "SymMatrix":
         """Principal submatrix on the given index subset (kept in order)."""
@@ -203,9 +190,9 @@ def _bareiss(a, block=None):
     - a zero trailing block ends it. The pivot block is nonsingular and its
       Schur complement zero, so the rank is the number of pivots and the
       other eigenvalues are zero (Haynsworth).
-    A pivot row is completed from the upper triangle when it is pivoted and
-    not touched after, except that a 2 x 2 step leaves row i as the two-step
-    form does: a_ib <- a_ib c / D, and a_ij <- c^2 / D, the new last pivot.
+    A pivot row is completed from the upper triangle when it is pivoted, so
+    that its multipliers are current, and the new last pivot is a_pp after
+    a 1 x 1 step and c^2 / D after a 2 x 2 step.
     A row whose multipliers a_xp (or a_xi and a_xj) are zero is only scaled,
     and skipped when the scale is 1. By Sylvester's identity the k-th pivot
     is the leading k-square minor with the rows in pivot-row and the columns
@@ -262,36 +249,8 @@ def _bareiss(a, block=None):
             elif scale != div:
                 for b in rest[k:]:
                     ax[b] = ax[b] * scale // div
-        if i != j:
-            for b in rest:
-                ri[b] = ri[b] * w // prev
-            ri[j] = scale // prev
-        prev = ri[j]
+        prev = scale if i == j else scale // prev
     return steps, sign, prev, negative
-
-
-def _gauss_jordan(a, steps):
-    """Bring the pivot rows of a finished elimination (a, steps) to
-    fraction-free Gauss-Jordan form by replaying each step, on the columns
-    it updated, on the rows pivoted before it.
-
-    Returns the pivot rows on the unpivoted columns U (ascending), in pivot
-    order. The row of pivot (p, q) holds d (A_PQ^-1 A_PU)_q, d the last
-    pivot; the order of the rows P does not change the solve, so this is
-    d M^-1 A_QU for the pivot block M = A_QQ.
-    """
-    pivoted = {q for _, q in steps}
-    rest = [c for c in range(len(a)) if c not in pivoted]
-    for t, (p, q) in enumerate(steps[1:], 1):
-        b, c = steps[t - 1]
-        prev, pivot_row = a[b][c], a[p]
-        pv, right = pivot_row[q], [j for _, j in steps[t + 1:]] + rest
-        for s, _ in steps[:t]:
-            row = a[s]
-            m = row[q]
-            for j in right:
-                row[j] = (row[j] * pv - m * pivot_row[j]) // prev
-    return [[a[p][c] for c in rest] for p, _ in steps]
 
 
 def bareiss_det(m: SymMatrix) -> int:

@@ -143,6 +143,16 @@ class TestSymmetryCheck:
     def test_theorem_id(self):
         assert check_symmetry(TreeFacts(path(4))).theorem_id == "spectrum-symmetry"
 
+    def test_even_diameter_without_witness_fails(self):
+        # x^3 + 1 is not symmetric, and no two consecutive coefficients are
+        # nonzero; path:3 has diameter 2
+        facts = TreeFacts(path(3))
+        facts.__dict__["poly"] = CharPoly((1, 0, 0, 1))
+        v = check_symmetry(facts)
+        assert v.passed is False
+        assert v.computed == {"symmetric": False, "witness": "absent"}
+        assert v.detail == f"expected {v.expected}, computed {v.computed}"
+
 
 class TestDistinctCountCheck:
     def test_star_has_three(self):
@@ -232,6 +242,16 @@ class TestRadiusBound:
         with pytest.raises(ValueError):
             check_radius_bound(TreeFacts(path(3)))
 
+    def test_just_below_the_bound_fails(self):
+        # 1e-6 below the bound is beyond FLOAT_TOL on a non-extremal tree
+        facts = TreeFacts(path(8))
+        assert not facts.extremal
+        bound = min_radius_bound(8)
+        facts.__dict__["eigenvalues"] = [bound - 1e-6] + facts.eigenvalues[1:]
+        v = check_radius_bound(facts)
+        assert v.passed is False
+        assert v.detail == f"bound {bound!r} violated by {bound - 1e-6!r}"
+
 
 class TestLeastEigenvalueBound:
     def test_extremal_equality(self):
@@ -243,6 +263,15 @@ class TestLeastEigenvalueBound:
     def test_generic_odd_tree(self):
         v = check_least_eigenvalue_bound(TreeFacts(path(8)))
         assert v.passed, v.detail
+
+    def test_just_above_the_negated_bound_fails(self):
+        facts = TreeFacts(path(8))
+        assert not facts.extremal
+        bound = min_radius_bound(8)
+        facts.__dict__["eigenvalues"] = facts.eigenvalues[:-1] + [-bound + 1e-6]
+        v = check_least_eigenvalue_bound(facts)
+        assert v.passed is False
+        assert v.detail == f"bound {-bound!r} violated by {-bound + 1e-6!r}"
 
     def test_even_diameter_rejected(self):
         with pytest.raises(ValueError, match="odd diameter"):
@@ -369,6 +398,31 @@ class TestClosedFormVerdict:
         assert not v.passed
         assert v.expected["paired_form"] is True and v.computed["paired_form"] is False
         assert v.computed["spectrum"] == pytest.approx(v.expected["spectrum"])
+
+    def test_diametrical_pairing_three_cycle_fails(self, monkeypatch):
+        # antipodes on cycle:6, except that 0, 1 and 2 map around a 3-cycle:
+        # not an involution, which the entry test sees in row 0
+        pairing = {0: 1, 1: 2, 2: 0, 3: 0, 4: 1, 5: 2}
+        monkeypatch.setattr(checks, "diametrical_pairing", lambda ecc, rows: pairing)
+        v = check_diametrical(cycle(6))
+        assert not v.passed
+        assert v.computed["paired_form"] is False
+        assert v.computed["spectrum"] == pytest.approx(v.expected["spectrum"])
+
+    def test_entry_off_the_pairing_fails(self, monkeypatch):
+        # cycle:6 with a 1 at (0, 1) and (1, 0): every diametral pair keeps
+        # its entry, but the form is no longer a scaled permutation
+        build = checks.eccentricity_matrix
+
+        def planted(ecc, rows):
+            m = [list(r) for r in build(ecc, rows).rows]
+            m[0][1] = m[1][0] = 1
+            return SymMatrix(m)
+
+        monkeypatch.setattr(checks, "eccentricity_matrix", planted)
+        v = check_diametrical(cycle(6))
+        assert not v.passed
+        assert v.computed["paired_form"] is False
 
 
 class TestDiametrical:

@@ -608,15 +608,16 @@ class TestSweepCommand:
 # recorded again when verify stopped echoing the tolerance flags it never
 # used; only their header line changed. The eight graph keys were
 # recorded again when spectrum lost --tol and --group-tol; only the two
-# config keys left its reports. The characteristic polynomial's routes are
-# all pinned: trees of order 40..60 take the low-rank route, and every
-# graph key takes the twin-class quotient, star:37 with 2 classes,
-# hypercube:5 and cocktail:19 with n/2, and spider:3,2 and cycle:7, which
-# have no twins, with k = n (Berkowitz on the whole matrix). cycle:7 and
-# cocktail:19 were recorded before the quotient replaced the shifted
-# low-rank route, and no digest changed with it. A key with a space is a
-# command line; the eight reports of one graph are hashed together, in the
-# loop order below.
+# config keys left its reports. The characteristic polynomial's one route
+# is pinned in all its forms: trees of order 40..60 run Berkowitz on the
+# zero-block matrix of order their rank, star:37 on its 2 twin classes,
+# hypercube:5 and cocktail:19 on n/2 classes, spider:3,2, which has no
+# twins, on the zero-block matrix of order n - 1, and cycle:7, which has
+# neither, on the whole matrix. The trees' digests were recorded under an
+# earlier route that read the elimination's pivot block, and cycle:7 and
+# cocktail:19 under a shifted low-rank route; no digest changed with
+# either replacement. A key with a space is a command line; the eight
+# reports of one graph are hashed together, in the loop order below.
 GOLDEN_DIGESTS = {
     "verify --n-from 2 --n-to 6": "bc5ffbaeac1c3922a896705e4255f5218c54196147f736f1afd37e5f556bede4",
     "verify --n-from 9 --n-to 14 --samples 3 --seed 7": "5b61d14ba846423e12d1caf37cb671604894b859edb5f42b850b711c8752d43b",

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from eccmat import exact
+from eccmat import exact, matrices
 from eccmat.checks import TreeFacts
 from eccmat.exact import (
     CharPoly,
@@ -18,12 +18,19 @@ from eccmat.exact import (
     spectrum_symmetric_exact,
 )
 from eccmat.checks import min_radius_tree
-from eccmat.families import diametrical_examples, parse_family, path, pruefer_random, star
+from eccmat.cli import main
+from eccmat.families import (
+    diametrical_examples,
+    enumerate_labeled_trees,
+    parse_family,
+    path,
+    pruefer_random,
+    star,
+)
 from eccmat.graphs import eccentricity_rows
 from eccmat.matrices import (
     SymMatrix,
     _bareiss,
-    _gauss_jordan,
     bareiss_det,
     deep_mid_block,
     eccentricity_matrix,
@@ -39,7 +46,6 @@ from _oracles import (
     leibniz_det,
     random_symmetric,
     rational_inertia_by_congruence,
-    solve_pivot_block,
 )
 
 
@@ -153,50 +159,10 @@ def two_by_two_after_one_by_ones():
     return SymMatrix([[sum(lb[i][k] * low[j][k] for k in range(5)) for j in range(5)] for i in range(5)])
 
 
-class TestGaussJordanRows:
-    """The pivot rows in fraction-free Gauss-Jordan form must be d M^-1 A_QU,
-    a Fraction solve on the pivot block M = A_QQ, with |d| = |det M|."""
-
-    @staticmethod
-    def agree(rows, x, d, pivots):
-        rest = [c for c in range(len(rows)) if c not in pivots]
-        solved = solve_pivot_block(rows, list(pivots))
-        assert abs(d) == abs(leibniz_det([[rows[a][b] for b in pivots] for a in pivots]))
-        assert x == [[d * row[c] for c in rest] for row in solved]
-
-    def check(self, m):
-        x, d = m.jordan
-        self.agree([list(r) for r in m.rows], x, d, m.pivots)
-
-    def test_random_low_rank(self):
-        rng = random.Random(79)
-        for n in range(2, 11):
-            for r in range(0, n // 2 + 1):
-                self.check(low_rank_symmetric(n, r, rng, lead=rng.randint(0, n - r)))
-
-    def test_trees(self):
-        for n in range(13, 61):
-            self.check(eccentricity_matrix(*eccentricity_rows(pruefer_random(n, f"jordan:{n}"))))
-
-    def test_two_by_two_step_after_one_by_one_steps(self):
-        # rank 4 of order 5 keeps no Jordan rows; the replay still applies
-        m = two_by_two_after_one_by_ones()
-        assert m.jordan is None
-        a = [list(r) for r in m.rows]
-        steps, _, last, _ = _bareiss(a)
-        self.agree([list(r) for r in m.rows], _gauss_jordan(a, steps), last, m.pivots)
-        # padded with zeros to order 10 it has 2r <= n
-        padded = SymMatrix([list(r) + [0] * 5 for r in m.rows] + [[0] * 10] * 5)
-        assert padded.pivots == m.pivots
-        self.check(padded)
-
-    def test_full_rank_keeps_nothing(self):
-        assert TreeFacts(star(9)).matrix.jordan is None
-
-
 class TestLowRankRoute:
-    """With 2 rank <= n, char_poly works on the pivot block; it must equal
-    full-matrix Berkowitz and Faddeev-LeVerrier."""
+    """Low-rank inputs (2 rank <= n) take the one route, the twin quotient
+    and its zero block, with no elimination; it must equal full-matrix
+    Berkowitz and Faddeev-LeVerrier."""
 
     @staticmethod
     def agree(m):
@@ -252,22 +218,16 @@ class TestLowRankRoute:
             assert 2 * rank_exact(m) <= n
             self.agree(m)
 
-    def test_indivisible_coefficient_raises(self, monkeypatch):
-        # a pivot power one off from +-det M leaves a remainder
-        jordan = SymMatrix.jordan.fget
-        monkeypatch.setattr(SymMatrix, "jordan", property(lambda m: (jordan(m)[0], jordan(m)[1] + 1)))
-        with pytest.raises(ArithmeticError, match="not divisible by the pivot power"):
-            char_poly(TreeFacts(path(9)).matrix)
-
     def test_berkowitz_runs_on_the_pivot_block(self, monkeypatch):
-        # path:9 has rank 4; star:9 has two twin classes, its leaves and its
-        # center; spider:3,2 (rank 6 of order 7) has no twins and runs on
-        # the whole matrix
+        # path:9 runs on its zero-block matrix L, whose order is its rank 4;
+        # star:9 has two twin classes, its leaves and its center; spider:3,2
+        # (rank 6 of order 7) has no twins, and its center and middle
+        # vertices are a zero block of 4 against 3
         sizes = berkowitz_sizes(monkeypatch)
         char_poly(TreeFacts(path(9)).matrix)
         char_poly(TreeFacts(star(9)).matrix)
         char_poly(TreeFacts(parse_family("spider:3,2")).matrix)
-        assert sizes == [4, 2, 7]
+        assert sizes == [4, 2, 6]
 
 
 def poly_mul(f, g):
@@ -308,9 +268,9 @@ def planted_twins(n, classes, rng):
 
 
 class TestQuotientRoute:
-    """With 2 rank > n, char_poly runs Berkowitz on the quotient over the
-    twin classes and multiplies in the structural eigenvalues; it must equal
-    full-matrix Berkowitz and Faddeev-LeVerrier."""
+    """char_poly runs Berkowitz on the quotient over the twin classes and
+    multiplies in the structural eigenvalues; it must equal full-matrix
+    Berkowitz and Faddeev-LeVerrier."""
 
     @staticmethod
     def agree(m):
@@ -420,12 +380,117 @@ class TestQuotientRoute:
         assert sizes[0] == 5
 
     def test_spiders_and_odd_cycles_have_no_twins(self, monkeypatch):
+        # a spider's center and middle vertices are a zero block one larger
+        # than its leaves, so it runs on order n - 1, its rank; an odd cycle
+        # has no zero block and runs on the whole matrix
         for token in ["spider:3,2", "spider:8,2", "cycle:5", "cycle:9", "cycle:15"]:
             m = eccentricity_matrix(*eccentricity_rows(parse_family(token)))
             assert 2 * rank_exact(m) > m.n
+            assert len(exact._twin_classes(m.rows)) == m.n
             sizes = berkowitz_sizes(monkeypatch)
             self.agree(m)
-            assert sizes[0] == m.n, token
+            assert sizes[0] == (m.n - 1 if token.startswith("spider") else m.n), token
+
+
+def planted_zero_block(rng, classes, zero, twins):
+    """A random symmetric matrix on `classes` labels, the first `zero` of
+    them a zero block of the quotient, rows shuffled. With twins a label
+    takes 1 to 3 rows, with D and b drawn so that a label in the block has
+    D + (s - 1) b = 0, which is not always D = b = 0; without twins every
+    label is one row of random entries, and any two rows may still be
+    twins by chance."""
+    sizes = [rng.randint(1, 3) if twins else 1 for _ in range(classes)]
+    inner = {}
+    for t, s in enumerate(sizes):
+        if t >= zero:
+            inner[t] = (rng.randint(-3, 3), rng.randint(-3, 3))
+        else:
+            b = rng.randint(-2, 2) if s > 1 else 0
+            inner[t] = (-(s - 1) * b, b)
+    between = {}
+    for t in range(classes):
+        for w in range(t):
+            between[t, w] = between[w, t] = 0 if t < zero else rng.randint(-3, 3)
+    label = [t for t, s in enumerate(sizes) for _ in range(s)]
+    rng.shuffle(label)
+    return SymMatrix([
+        [inner[t][0] if u == v else inner[t][1] if t == w else between[t, w]
+         for v, w in enumerate(label)]
+        for u, t in enumerate(label)
+    ])
+
+
+class TestZeroBlock:
+    """When the quotient Q has a zero principal block N larger than the rest
+    S, Berkowitz runs on the order 2|S| matrix [[Q_SS, Q_SN Q_NS], [I, 0]]
+    and the polynomial gains x^(|N| - |S|); Q need not be symmetric."""
+
+    def test_planted_blocks(self, monkeypatch):
+        rng = random.Random(101)
+        smaller = 0
+        sizes = berkowitz_sizes(monkeypatch)
+        for twins in (False, True):
+            for _ in range(300):
+                classes = rng.randint(2, 9)
+                m = planted_zero_block(rng, classes, rng.randint(classes // 2, classes), twins)
+                sizes.clear()
+                p = char_poly(m).coeffs
+                assert p == char_poly_leverrier(m).coeffs
+                assert p == tuple(exact._berkowitz(m.rows))
+                smaller += sizes[0] < len(exact._twin_classes(m.rows))
+        assert smaller >= 300
+
+    def test_found_block_is_zero(self):
+        rng = random.Random(103)
+        for _ in range(200):
+            m = planted_zero_block(rng, 8, rng.randint(0, 8), True)
+            q = [list(r) for r in m.rows]
+            block = exact._zero_block(q)
+            assert all(q[i][j] == 0 for i in block for j in block)
+
+    def test_order_is_the_rank_on_labeled_trees(self, monkeypatch):
+        checked = 0
+        sizes = berkowitz_sizes(monkeypatch)
+        for n in range(4, 8):
+            for t in enumerate_labeled_trees(n):
+                facts = TreeFacts(t)
+                if facts.meta.diameter < 3:
+                    continue
+                sizes.clear()
+                char_poly(facts.matrix)
+                assert sizes == [rank_exact(facts.matrix)]
+                checked += 1
+        # every labeled tree of order 4..7 but the 22 stars
+        assert checked == 16 + 125 + 1296 + 16807 - 22
+
+    def test_order_is_the_rank_on_random_trees(self, monkeypatch):
+        sizes = berkowitz_sizes(monkeypatch)
+        for n in range(8, 121):
+            for i in range(2):
+                facts = TreeFacts(pruefer_random(n, f"zero-block:{n}:{i}"))
+                if facts.meta.diameter < 3:
+                    continue
+                sizes.clear()
+                p = char_poly(facts.matrix).coeffs
+                assert sizes == [rank_exact(facts.matrix)], n
+                if n <= 30:
+                    assert p == char_poly_leverrier(facts.matrix).coeffs
+
+
+def test_polynomials_run_no_elimination(monkeypatch, capsys):
+    # char_poly never eliminates, and sweep reads nothing else that does
+    def eliminate(*args):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(matrices, "_bareiss", eliminate)
+    assert char_poly(TreeFacts(path(9)).matrix).coeffs == (1, 0, -316, -256, 15620, 0, 0, 0, 0, 0)
+    for token in ["star:9", "spider:5,2", "cycle:10", "cycle:7", "cocktail:5", "hypercube:4"]:
+        char_poly(ecc(parse_family(token)))
+    for n in range(20, 61, 10):
+        char_poly(ecc(pruefer_random(n, f"no-elimination:{n}")))
+    assert main(["sweep", "--n-from", "4", "--n-to", "7"]) == 0
+    assert main(["sweep", "--n-from", "40", "--n-to", "42", "--samples", "2", "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestInertiaExact:

@@ -24,7 +24,6 @@ from _oracles import (
     random_symmetric,
     rational_inertia_by_congruence,
     schur_by_solve,
-    solve_pivot_block,
 )
 
 
@@ -228,9 +227,7 @@ def kernel_case(rng):
 class TestEliminationKernel:
     def test_random_matrices_against_fraction_oracles(self):
         # rank and negative count from a congruence over the rationals,
-        # sign * last pivot = det A_QQ, the Jordan rows X = d M^-1 A_QU by a
-        # Fraction solve on M = A_QQ, Q in pivot order (padded with zero rows
-        # to order 2n when 2r > n, which keeps the pivots), and the Schur
+        # sign * last pivot = det A_QQ, Q in pivot order, and the Schur
         # complement on a random pivot set by a Fraction solve
         from eccmat.matrices import _bareiss
 
@@ -245,13 +242,6 @@ class TestEliminationKernel:
             q = [c for _, c in steps]
             assert m.pivots == tuple(q)
             assert sign * last == fraction_det([[rows[a][b] for b in q] for a in q]) != 0
-            padded = m if 2 * len(q) <= n else SymMatrix(
-                [r + [0] * n for r in rows] + [[0] * 2 * n for _ in range(n)])
-            x, d = padded.jordan
-            assert (padded.pivots, d) == (m.pivots, last)
-            full = [list(r) for r in padded.rows]
-            rest = [c for c in range(padded.n) if c not in q]
-            assert x == [[d * row[c] for c in rest] for row in solve_pivot_block(full, q)]
             kinds = "".join("2" if p != c else "1" for p, c in steps)  # "22" a 2 x 2 step
             seen["2 x 2 first"] += kinds.startswith("2")
             seen["2 x 2 after 1 x 1"] += "12" in kinds
@@ -267,7 +257,7 @@ class TestEliminationKernel:
 
     def test_pivot_columns_give_a_nonsingular_principal_block(self):
         # for a symmetric matrix of rank r, the pivot indices Q make A_QQ
-        # nonsingular: the block the low-rank route works from
+        # nonsingular
         from eccmat.matrices import _bareiss
 
         for i in range(40):
