@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exact import (
     Inertia,
@@ -22,7 +22,6 @@ from .exact import (
     distinct_count_exact,
     inertia_exact,
     inertia_of_matrix,
-    rank_exact,
     spectrum_symmetric_exact,
 )
 from .families import canonical_key, center_pendant_tree, star
@@ -89,9 +88,9 @@ class TreeFacts:
     the peripheral vertices' BFS rows (graphs.eccentricity_rows) are
     computed once and feed both meta and matrix. The characteristic
     polynomial comes from the matrix's twin quotient and zero block, with
-    no elimination; the matrix's one fraction-free elimination
-    (SymMatrix.pivots) runs only when the rank check or the minor-sign
-    inertia reads it, so the two inertias share no computation.
+    no elimination; minors, the inertia from the matrix's one
+    fraction-free elimination, runs it only when the inertia or the rank
+    check reads it, so the two inertias share no computation.
     corrupt=True bumps one off-diagonal entry pair of the eccentricity
     matrix by 1; it exists solely as a negative-control hook.
     """
@@ -130,6 +129,12 @@ class TreeFacts:
         return inertia_exact(self.poly)
 
     @cached_property
+    def minors(self) -> Inertia:
+        """The inertia from the signs of the leading principal minors; its
+        rank is n - n_zero."""
+        return inertia_of_matrix(self.matrix)
+
+    @cached_property
     def eigenvalues(self):
         return eigenvalues_sym(self.matrix)
 
@@ -160,7 +165,7 @@ def check_inertia(f: TreeFacts) -> Verdict:
     principal minors give it too."""
     expected = _predicted_inertia(f)
     computed = f.inertia
-    minors = inertia_of_matrix(f.matrix)
+    minors = f.minors
     detail = "" if minors == computed else f"expected {expected}, computed {computed}, minor signs {minors}"
     return _verdict("tree-inertia", f.label, expected, computed, expected == computed == minors, detail)
 
@@ -170,7 +175,7 @@ def check_rank(f: TreeFacts) -> Verdict:
     diameter >= 3, 2l for even diameter >= 4."""
     expected = f.tree.n - _predicted_inertia(f).n_zero
     # the elimination's rank, not n minus the polynomial's zero roots
-    computed = rank_exact(f.matrix)
+    computed = f.tree.n - f.minors.n_zero
     return _verdict("tree-rank", f.label, expected, computed, expected == computed)
 
 
@@ -259,14 +264,9 @@ def min_radius_tree(n: int) -> Tree:
     return center_pendant_tree(n, 5, a, n - 6 - a)
 
 
-_extremal_keys: dict = {}
-
-
+@cache
 def _extremal_key(n: int) -> str:
-    key = _extremal_keys.get(n)
-    if key is None:
-        key = _extremal_keys[n] = canonical_key(min_radius_tree(n))
-    return key
+    return canonical_key(min_radius_tree(n))
 
 
 def _bound_verdict(f: TreeFacts, theorem_id: str, sign: int) -> Verdict:
@@ -429,8 +429,7 @@ def check_diametrical(g: Graph, label: str | None = None) -> Verdict:
         raise ValueError("graph is not diametrical")
     instance = label if label is not None else f"diametrical:n={g.n}"
     m = eccentricity_matrix(ecc, rows)
-    # the diametral pairs keep their entries, so the largest is the diameter
-    diam = m.max_abs()
+    diam = max(ecc)
     # on a symmetric matrix this makes the pairing an involution: row p(u)
     # holds diam at u, and only at p(p(u))
     paired = all(

@@ -22,7 +22,7 @@ from .checks import (
     check_star_spectrum,
     tree_checks,
 )
-from .exact import char_poly, distinct_count_exact, inertia_of_matrix, rank_exact, spectrum_symmetric_exact
+from .exact import char_poly, distinct_count_exact, inertia_of_matrix, spectrum_symmetric_exact
 from .families import (
     diametrical_examples,
     enumerate_labeled_trees,
@@ -141,17 +141,17 @@ def cmd_report(args) -> int:
     """spectrum: the full exact + float report; inertia: inertia and rank."""
     g, label = _load_graph(args)
     full = args.command == "spectrum"
-    matrix = eccentricity_matrix(*eccentricity_rows(g))
-    # both read the matrix's one elimination
+    ecc, rows = eccentricity_rows(g)
+    matrix = eccentricity_matrix(ecc, rows)
+    # the rank too reads the matrix's one elimination
     inertia = inertia_of_matrix(matrix)
-    rank = rank_exact(matrix)
+    rank = g.n - inertia.n_zero
     report = {
         "version": __version__,
         "config": _config(args, ("command", "family", "input", "format")),
         "instance": label,
         "n": g.n,
-        # the diametral pairs keep their entries, so the largest is the diameter
-        "diameter": matrix.max_abs(),
+        "diameter": max(ecc),
     }
     if full:
         poly = char_poly(matrix)

@@ -1,14 +1,14 @@
 """Dense symmetric integer matrices, plus the structured builders.
 
 One matrix type lives here: an immutable symmetric matrix of Python ints,
-the only number type of the exact layer. One fraction-free elimination
-kernel with one pivot rule (1 x 1 and 2 x 2 diagonal steps) serves the
-determinant, the Schur complement (a positive integer multiple, so that it
-stays in the same type) and each SymMatrix, which runs it once, on first
-use: its pivots give the rank and the signs of its leading principal
-minors the inertia. The characteristic polynomial does not read it.
-Everything is exact, so there is no floating-point fallback anywhere in
-this module.
+the only number type of the exact layer, which holds its rows and nothing
+computed from them. One fraction-free elimination kernel with one pivot
+rule (1 x 1 and 2 x 2 diagonal steps) serves the determinant, the Schur
+complement (a positive integer multiple, so that it stays in the same
+type) and exact.inertia_of_matrix, which reads the rank and the signs of
+the leading principal minors from it. The characteristic polynomial does
+not read it. Everything is exact, so there is no floating-point fallback
+anywhere in this module.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class SymMatrix:
     """Symmetric matrix of Python ints; any other entry type (bool, float,
     a rational) raises ValueError."""
 
-    __slots__ = ("n", "rows", "_pivots", "_n_minus")
+    __slots__ = ("n", "rows")
 
     def __init__(self, rows):
         rows = tuple(tuple(row) for row in rows)
@@ -36,31 +36,6 @@ class SymMatrix:
                     raise ValueError(f"matrix not symmetric at ({i},{j})")
         self.n = n
         self.rows = rows
-        self._pivots = None
-        self._n_minus = None
-
-    def _eliminate(self):
-        if self._pivots is None:
-            steps, _, _, self._n_minus = _bareiss([list(r) for r in self.rows])
-            self._pivots = tuple(q for _, q in steps)
-
-    @property
-    def pivots(self) -> tuple:
-        """Pivot indices of the one symmetric fraction-free elimination, in
-        pivot order; it runs on first use.
-
-        The principal block on them is nonsingular and its Schur complement
-        is zero, so their number is the rank.
-        """
-        self._eliminate()
-        return self._pivots
-
-    @property
-    def n_minus(self) -> int:
-        """Number of negative eigenvalues, read from the signs of the leading
-        principal minors along the same elimination."""
-        self._eliminate()
-        return self._n_minus
 
     def submatrix(self, indices) -> "SymMatrix":
         """Principal submatrix on the given index subset (kept in order)."""

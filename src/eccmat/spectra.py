@@ -36,7 +36,8 @@ def eigenvalues_sym(m: SymMatrix):
     n = len(a)
     norm = math.sqrt(sum(x * x for row in a for x in row))
     target = EIGEN_TOL * norm
-    # Rotations on entries this small only churn roundoff.
+    # Rotations on entries this small only churn roundoff; skipping them
+    # also keeps |theta| below 1e18, so theta * theta cannot overflow.
     skip = 1e-18 * norm
     rng = range(n)
     for sweep in range(MAX_SWEEPS + 1):
@@ -58,12 +59,7 @@ def eigenvalues_sym(m: SymMatrix):
                     continue
                 aq = a[q]
                 theta = (aq[q] - ap[p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = (1.0 if theta >= 0 else -1.0) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
+                t = (1.0 if theta >= 0 else -1.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 c = 1.0 / math.sqrt(t * t + 1.0)
                 s = t * c
                 for k in rng:

@@ -72,6 +72,12 @@ MUTANTS = [
     ("berkowitz-drops-last-term", "exact.py",
      "if len(q) == r + 2:",
      "if len(q) == r + 1:", False),
+    ("rank-reads-descartes", "checks.py",
+     "computed = f.tree.n - f.minors.n_zero",
+     "computed = f.tree.n - f.inertia.n_zero", False),
+    ("minor-signs-from-the-polynomial", "checks.py",
+     "return inertia_of_matrix(self.matrix)",
+     "return inertia_exact(self.poly)", False),
     ("bareiss-two-by-two-pivot", "matrices.py",
      "prev = scale if i == j else scale // prev",
      "prev = scale", False),

@@ -127,6 +127,28 @@ class TestRankCheck:
             v = check_rank(TreeFacts(t))
             assert v.passed, v.detail
 
+    def test_planted_minors_fail_rank_and_inertia(self):
+        # path:6 has inertia (2, 2, 2); minor signs of rank 5 fail both checks
+        facts = TreeFacts(path(6))
+        facts.__dict__["minors"] = Inertia(3, 2, 1)
+        v = check_rank(facts)
+        assert v.passed is False and (v.expected, v.computed) == (4, 5)
+        assert v.detail == "expected 4, computed 5"
+        v = check_inertia(facts)
+        assert v.passed is False and tuple(v.expected) == tuple(v.computed) == (2, 2, 2)
+        assert v.detail == (
+            "expected Inertia(n_plus=2, n_minus=2, n_zero=2), computed Inertia(n_plus=2, n_minus=2, "
+            "n_zero=2), minor signs Inertia(n_plus=3, n_minus=2, n_zero=1)"
+        )
+
+    def test_rank_reads_the_elimination_not_the_polynomial(self):
+        # one zero root instead of two fails the inertia, not the rank
+        facts = TreeFacts(path(6))
+        facts.__dict__["poly"] = CharPoly(facts.poly.coeffs[:-2] + (1, 0))
+        assert check_rank(facts).passed
+        v = check_inertia(facts)
+        assert v.passed is False and v.computed.n_zero == 1
+
 
 class TestSymmetryCheck:
     def test_odd_diameter_symmetric(self):

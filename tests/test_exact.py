@@ -14,10 +14,9 @@ from eccmat.exact import (
     inertia_exact,
     inertia_of_matrix,
     poly_gcd,
-    rank_exact,
     spectrum_symmetric_exact,
 )
-from eccmat.checks import min_radius_tree
+from eccmat.checks import min_radius_tree, tree_checks
 from eccmat.cli import main
 from eccmat.families import (
     diametrical_examples,
@@ -47,6 +46,16 @@ from _oracles import (
     random_symmetric,
     rational_inertia_by_congruence,
 )
+
+
+def rank(m):
+    """The rank, read as n - n_zero of the minor-sign inertia."""
+    return m.n - inertia_of_matrix(m).n_zero
+
+
+def pivots(m):
+    """The pivot columns of m's symmetric elimination, in pivot order."""
+    return tuple(c for _, c in _bareiss([list(r) for r in m.rows])[0])
 
 
 def horner(coeffs, x):
@@ -144,7 +153,7 @@ def low_rank_symmetric(n, r, rng, lead=0):
         rows = [[sum(u[i][k] * d[k] * u[j][k] for k in range(r)) for j in range(n)]
                 for i in range(n)]
         m = SymMatrix(rows)
-        if rank_exact(m) == r:
+        if rank(m) == r:
             return m
 
 
@@ -159,7 +168,14 @@ def two_by_two_after_one_by_ones():
     return SymMatrix([[sum(lb[i][k] * low[j][k] for k in range(5)) for j in range(5)] for i in range(5)])
 
 
-class TestLowRankRoute:
+@pytest.fixture(scope="module")
+def random_trees():
+    """Two random trees of each order 8..120, as (n, facts): the one sample
+    the low-rank and the zero-block tests share."""
+    return [(n, TreeFacts(pruefer_random(n, f"zero-block:{n}:{i}"))) for n in range(8, 121) for i in range(2)]
+
+
+class TestLowRankInputs:
     """Low-rank inputs (2 rank <= n) take the one route, the twin quotient
     and its zero block, with no elimination; it must equal full-matrix
     Berkowitz and Faddeev-LeVerrier."""
@@ -178,8 +194,8 @@ class TestLowRankRoute:
             for r in range(1, n // 2 + 1):
                 for lead in (0, 1, 2):
                     m = low_rank_symmetric(n, r, rng, lead=min(lead, n - r))
-                    assert 2 * rank_exact(m) <= n
-                    late += m.pivots != tuple(range(r))
+                    assert 2 * rank(m) <= n
+                    late += pivots(m) != tuple(range(r))
                     self.agree(m)
         assert late >= 50
 
@@ -193,7 +209,7 @@ class TestLowRankRoute:
         for n, r in ((4, 2), (6, 3), (8, 4), (3, 2), (5, 3), (7, 4)):
             for _ in range(5):
                 m = low_rank_symmetric(n, r, rng, lead=1)
-                assert (2 * rank_exact(m) <= n) == (n % 2 == 0)
+                assert (2 * rank(m) <= n) == (n % 2 == 0)
                 self.agree(m)
 
     def test_negative_pivot_block_determinant(self):
@@ -208,26 +224,26 @@ class TestLowRankRoute:
             for i in range(5)
         ]
         m = SymMatrix(rows)
-        assert m.pivots == (2, 0)
-        assert bareiss_det(m.submatrix(m.pivots)) == -4
+        assert pivots(m) == (2, 0)
+        assert bareiss_det(m.submatrix(pivots(m))) == -4
         self.agree(m)
 
-    def test_trees(self):
-        for n in list(range(13, 61)) + [100]:
-            m = eccentricity_matrix(*eccentricity_rows(pruefer_random(n, f"route:{n}")))
-            assert 2 * rank_exact(m) <= n
-            self.agree(m)
+    def test_trees(self, random_trees):
+        orders = set(range(13, 61)) | {100}
+        for n, facts in random_trees[::2]:  # one tree of each order
+            if n in orders:
+                assert 2 * rank(facts.matrix) <= n
+                self.agree(facts.matrix)
 
-    def test_berkowitz_runs_on_the_pivot_block(self, monkeypatch):
+    def test_berkowitz_orders(self, berkowitz_sizes):
         # path:9 runs on its zero-block matrix L, whose order is its rank 4;
         # star:9 has two twin classes, its leaves and its center; spider:3,2
         # (rank 6 of order 7) has no twins, and its center and middle
         # vertices are a zero block of 4 against 3
-        sizes = berkowitz_sizes(monkeypatch)
         char_poly(TreeFacts(path(9)).matrix)
         char_poly(TreeFacts(star(9)).matrix)
         char_poly(TreeFacts(parse_family("spider:3,2")).matrix)
-        assert sizes == [4, 2, 6]
+        assert berkowitz_sizes == [4, 2, 6]
 
 
 def poly_mul(f, g):
@@ -238,8 +254,10 @@ def poly_mul(f, g):
     return out
 
 
+@pytest.fixture
 def berkowitz_sizes(monkeypatch):
-    """The orders of the matrices exact._berkowitz runs on from now on."""
+    """The orders of the matrices exact._berkowitz runs on in this test, in
+    one list that a test clears between inputs."""
     sizes = []
     real = exact._berkowitz
     monkeypatch.setattr(exact, "_berkowitz", lambda a: sizes.append(len(a)) or real(a))
@@ -288,22 +306,22 @@ class TestQuotientRoute:
         ],
         ids=["even-cycles", "cocktails", "hypercubes"],
     )
-    def test_diametrical_graphs(self, monkeypatch, tokens):
+    def test_diametrical_graphs(self, berkowitz_sizes, tokens):
         # the classes are the diametral pairs: cycle:2k and cocktail:k have
         # k of them, hypercube:d 2^(d-1)
         for token in tokens:
             m = eccentricity_matrix(*eccentricity_rows(parse_family(token)))
-            assert 2 * rank_exact(m) > m.n
-            sizes = berkowitz_sizes(monkeypatch)
+            assert 2 * rank(m) > m.n
+            berkowitz_sizes.clear()
             self.agree(m)
-            assert sizes[0] == m.n // 2, token
+            assert berkowitz_sizes[0] == m.n // 2, token
 
-    def test_stars(self, monkeypatch):
+    def test_stars(self, berkowitz_sizes):
         # Faddeev-LeVerrier grows as n^5 in Python; past n = 40 the closed
         # form (x^2 - 2(n-2)x - (n-1)) (x+2)^(n-2) is the second route
         for n in range(2, 61):
             m = TreeFacts(star(n)).matrix
-            sizes = berkowitz_sizes(monkeypatch)
+            berkowitz_sizes.clear()
             p = char_poly(m).coeffs
             assert p == tuple(exact._berkowitz(m.rows)), n
             binomial = [comb(n - 2, i) * 2**i for i in range(n - 1)]
@@ -312,9 +330,9 @@ class TestQuotientRoute:
                 assert p == char_poly_leverrier(m).coeffs, n
             # star:2 is K2, one class; from star:3 (path:3) on, the leaves
             # and the center
-            assert sizes[0] == (1 if n == 2 else 2), n
+            assert berkowitz_sizes[0] == (1 if n == 2 else 2), n
 
-    def test_planted_twins(self, monkeypatch):
+    def test_planted_twins(self, berkowitz_sizes):
         rng = random.Random(97)
         quotients = 0
         for n in range(2, 13):
@@ -332,64 +350,62 @@ class TestQuotientRoute:
                     assert all(m.rows[c[0]][u] == m.rows[c[-1]][u] for u in range(n) if u not in c)
                 planted = n - sum(s - 1 for s in sizes)
                 assert len(found) <= planted
-                berkowitz = berkowitz_sizes(monkeypatch)
+                berkowitz_sizes.clear()
                 self.agree(m)
-                if 2 * rank_exact(m) > n:
-                    assert berkowitz[0] == len(found)
+                if 2 * rank(m) > n:
+                    assert berkowitz_sizes[0] == len(found)
                     quotients += len(sizes) >= 2
         assert quotients >= 100
 
-    def test_one_by_one(self, monkeypatch):
-        sizes = berkowitz_sizes(monkeypatch)
+    def test_one_by_one(self, berkowitz_sizes):
         assert char_poly(SymMatrix([[7]])).coeffs == (1, -7)
-        assert sizes == [1]
+        assert berkowitz_sizes == [1]
 
-    def test_two_by_two(self, monkeypatch):
+    def test_two_by_two(self, berkowitz_sizes):
         # equal diagonal: one class, D - b = 3 - 5 and Q = [3 + 5]
-        sizes = berkowitz_sizes(monkeypatch)
         assert self.agree(SymMatrix([[3, 5], [5, 3]])) == (1, -6, -16)
-        assert sizes[0] == 1
+        assert berkowitz_sizes[0] == 1
         # unequal diagonal: no twins, Q is A
-        sizes = berkowitz_sizes(monkeypatch)
+        berkowitz_sizes.clear()
         assert self.agree(SymMatrix([[3, 5], [5, 4]])) == (1, -7, -13)
-        assert sizes[0] == 2
+        assert berkowitz_sizes[0] == 2
 
     @pytest.mark.parametrize("n", [8, 9, 10, 11])
-    def test_one_class_of_every_size(self, monkeypatch, n):
+    def test_one_class_of_every_size(self, berkowitz_sizes, n):
         # no size threshold: a class of any size k leaves a quotient of
         # order at most n - k + 1 (random singletons may be twins too)
         rng = random.Random(n)
         for k in range(2, n + 1):
             for d, b in ((0, 3), (2, -1)):
                 m = planted_twins(n, [(k, d, b)], rng)
-                assert 2 * rank_exact(m) > n
+                assert 2 * rank(m) > n
                 found = exact._twin_classes(m.rows)
                 assert max(map(len, found)) >= k and len(found) <= n - k + 1
-                sizes = berkowitz_sizes(monkeypatch)
+                berkowitz_sizes.clear()
                 self.agree(m)
-                assert sizes[0] == len(found), (k, d, b)
+                assert berkowitz_sizes[0] == len(found), (k, d, b)
 
-    def test_equal_rows_are_twins(self, monkeypatch):
+    def test_equal_rows_are_twins(self, berkowitz_sizes):
         # five equal rows of A among nine: one class with D = b, whose four
         # structural eigenvalues are zero
         rng = random.Random(3)
         m = planted_twins(9, [(5, 2, 2)], rng)
-        assert rank_exact(m) == 5
-        sizes = berkowitz_sizes(monkeypatch)
+        assert rank(m) == 5
+        berkowitz_sizes.clear()
         assert self.agree(m)[-4:] == (0, 0, 0, 0)
-        assert sizes[0] == 5
+        assert berkowitz_sizes[0] == 5
 
-    def test_spiders_and_odd_cycles_have_no_twins(self, monkeypatch):
+    def test_spiders_and_odd_cycles_have_no_twins(self, berkowitz_sizes):
         # a spider's center and middle vertices are a zero block one larger
         # than its leaves, so it runs on order n - 1, its rank; an odd cycle
         # has no zero block and runs on the whole matrix
         for token in ["spider:3,2", "spider:8,2", "cycle:5", "cycle:9", "cycle:15"]:
             m = eccentricity_matrix(*eccentricity_rows(parse_family(token)))
-            assert 2 * rank_exact(m) > m.n
+            assert 2 * rank(m) > m.n
             assert len(exact._twin_classes(m.rows)) == m.n
-            sizes = berkowitz_sizes(monkeypatch)
+            berkowitz_sizes.clear()
             self.agree(m)
-            assert sizes[0] == (m.n - 1 if token.startswith("spider") else m.n), token
+            assert berkowitz_sizes[0] == (m.n - 1 if token.startswith("spider") else m.n), token
 
 
 def planted_zero_block(rng, classes, zero, twins):
@@ -425,19 +441,18 @@ class TestZeroBlock:
     S, Berkowitz runs on the order 2|S| matrix [[Q_SS, Q_SN Q_NS], [I, 0]]
     and the polynomial gains x^(|N| - |S|); Q need not be symmetric."""
 
-    def test_planted_blocks(self, monkeypatch):
+    def test_planted_blocks(self, berkowitz_sizes):
         rng = random.Random(101)
         smaller = 0
-        sizes = berkowitz_sizes(monkeypatch)
         for twins in (False, True):
             for _ in range(300):
                 classes = rng.randint(2, 9)
                 m = planted_zero_block(rng, classes, rng.randint(classes // 2, classes), twins)
-                sizes.clear()
+                berkowitz_sizes.clear()
                 p = char_poly(m).coeffs
                 assert p == char_poly_leverrier(m).coeffs
                 assert p == tuple(exact._berkowitz(m.rows))
-                smaller += sizes[0] < len(exact._twin_classes(m.rows))
+                smaller += berkowitz_sizes[0] < len(exact._twin_classes(m.rows))
         assert smaller >= 300
 
     def test_found_block_is_zero(self):
@@ -448,33 +463,29 @@ class TestZeroBlock:
             block = exact._zero_block(q)
             assert all(q[i][j] == 0 for i in block for j in block)
 
-    def test_order_is_the_rank_on_labeled_trees(self, monkeypatch):
+    def test_order_is_the_rank_on_labeled_trees(self, berkowitz_sizes):
         checked = 0
-        sizes = berkowitz_sizes(monkeypatch)
         for n in range(4, 8):
             for t in enumerate_labeled_trees(n):
                 facts = TreeFacts(t)
                 if facts.meta.diameter < 3:
                     continue
-                sizes.clear()
+                berkowitz_sizes.clear()
                 char_poly(facts.matrix)
-                assert sizes == [rank_exact(facts.matrix)]
+                assert berkowitz_sizes == [rank(facts.matrix)]
                 checked += 1
         # every labeled tree of order 4..7 but the 22 stars
         assert checked == 16 + 125 + 1296 + 16807 - 22
 
-    def test_order_is_the_rank_on_random_trees(self, monkeypatch):
-        sizes = berkowitz_sizes(monkeypatch)
-        for n in range(8, 121):
-            for i in range(2):
-                facts = TreeFacts(pruefer_random(n, f"zero-block:{n}:{i}"))
-                if facts.meta.diameter < 3:
-                    continue
-                sizes.clear()
-                p = char_poly(facts.matrix).coeffs
-                assert sizes == [rank_exact(facts.matrix)], n
-                if n <= 30:
-                    assert p == char_poly_leverrier(facts.matrix).coeffs
+    def test_order_is_the_rank_on_random_trees(self, berkowitz_sizes, random_trees):
+        for n, facts in random_trees:
+            if facts.meta.diameter < 3:
+                continue
+            berkowitz_sizes.clear()
+            p = char_poly(facts.matrix).coeffs
+            assert berkowitz_sizes == [rank(facts.matrix)], n
+            if n <= 30:
+                assert p == char_poly_leverrier(facts.matrix).coeffs
 
 
 def test_polynomials_run_no_elimination(monkeypatch, capsys):
@@ -490,6 +501,28 @@ def test_polynomials_run_no_elimination(monkeypatch, capsys):
         char_poly(ecc(pruefer_random(n, f"no-elimination:{n}")))
     assert main(["sweep", "--n-from", "4", "--n-to", "7"]) == 0
     assert main(["sweep", "--n-from", "40", "--n-to", "42", "--samples", "2", "--seed", "1"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_one_elimination_per_tree_and_report(monkeypatch, capsys):
+    # a tree's inertia and rank checks share one elimination, sweep runs
+    # none, and a report one for both its inertia and its rank
+    calls = []
+    real = matrices._bareiss
+    monkeypatch.setattr(matrices, "_bareiss", lambda *args: calls.append(args) or real(*args))
+
+    def count(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    assert count(lambda: [tree_checks(TreeFacts(t)) for t in enumerate_labeled_trees(5)]) == 125
+    # 16 trees, plus the fixed battery's 36 for the pair blocks (three
+    # inertias and a Schur complement each) and 62 core minors
+    assert count(lambda: main(["verify", "--n-from", "4", "--n-to", "4"])) == 16 + 36 + 62
+    assert count(lambda: main(["sweep", "--n-from", "4", "--n-to", "6"])) == 0
+    for command in ("spectrum", "inertia"):
+        assert count(lambda: main([command, "--family", "star:9"])) == 1
     assert capsys.readouterr().err == ""
 
 
@@ -550,7 +583,7 @@ class TestInertiaOfMatrix:
         assert all(m.rows[i][i] for i in range(5))
         steps, sign, last, negative = _bareiss([list(r) for r in m.rows])
         assert (steps, negative) == ([(0, 0), (1, 1), (3, 2), (2, 3)], 2)
-        assert sign * last == bareiss_det(m.submatrix(m.pivots)) == 3 * -5 * -49
+        assert sign * last == bareiss_det(m.submatrix([c for _, c in steps])) == 3 * -5 * -49
         assert self.agree(m) == Inertia(2, 2, 1)
         assert self.agree(SymMatrix([[2, 2, 2], [2, 2, 5], [2, 5, 2]])) == Inertia(2, 1, 0)
 
@@ -613,7 +646,7 @@ class TestInertiaOfMatrix:
         assert len(tokens) == 36
         for token in tokens:
             m = ecc(parse_family(token))
-            assert self.agree(m).n_zero == m.n - rank_exact(m)
+            assert self.agree(m).n_zero == m.n - len(pivots(m))
 
 
 class TestRankExact:
@@ -622,15 +655,15 @@ class TestRankExact:
         for n in range(1, 9):
             for _ in range(6):
                 m = random_symmetric(n, rng)
-                assert rank_exact(m) == n - inertia_exact(char_poly(m)).n_zero
+                assert rank(m) == n - inertia_exact(char_poly(m)).n_zero
 
     def test_structured_singular(self):
         # rank-1 outer product pattern
         rows = [[(i + 1) * (j + 1) for j in range(5)] for i in range(5)]
-        assert rank_exact(SymMatrix(rows)) == 1
+        assert rank(SymMatrix(rows)) == 1
 
     def test_zero_matrix(self):
-        assert rank_exact(SymMatrix([[0, 0], [0, 0]])) == 0
+        assert rank(SymMatrix([[0, 0], [0, 0]])) == 0
 
 
 class TestPolyGcd:
