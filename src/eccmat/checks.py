@@ -88,9 +88,12 @@ class TreeFacts:
     the peripheral vertices' BFS rows (graphs.eccentricity_rows) are
     computed once and feed both meta and matrix. The characteristic
     polynomial comes from the matrix's twin quotient and zero block, with
-    no elimination; minors, the inertia from the matrix's one
-    fraction-free elimination, runs it only when the inertia or the rank
-    check reads it, so the two inertias share no computation.
+    no elimination; minors, the inertia from the one fraction-free
+    elimination of the twin quotient's symmetric form, runs it only when
+    the inertia or the rank check reads it. The two exact inertias share
+    the twin classes and nothing else; the float inertia from the whole
+    matrix's eigenvalues (check_inertia_float_agreement) is the check that
+    shares nothing with them.
     corrupt=True bumps one off-diagonal entry pair of the eccentricity
     matrix by 1; it exists solely as a negative-control hook.
     """

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import sys
 
@@ -37,7 +38,10 @@ DEFAULT_SAMPLES = 500
 EXHAUSTIVE_LIMIT = 8
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each main() call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="eccmat",
         description="Eccentricity-matrix spectra: per-graph reports and "

@@ -39,14 +39,20 @@ The tests hold a Faddeev-LeVerrier implementation as an independent second
 route, and check the route against it and against Berkowitz on the whole
 matrix.
 
-Inertia has two exact routes that share no computation. inertia_of_matrix
-reads the signs of the leading principal minors along the matrix's
-symmetric elimination (matrices._bareiss), with no polynomial; it is the
+Inertia has two exact routes, which share the twin classes and nothing
+else. inertia_of_matrix reads the signs of the leading principal minors
+along the symmetric elimination (matrices._bareiss) of the k x k integer
+matrix S Q, S = diag(s_i) holding the class sizes, which is congruent to
+the quotient's symmetric form, and adds the s_i - 1 eigenvalues D_i - b_i
+of each class (Sylvester's law of inertia), with no polynomial; it is the
 elimination's one reader here, and a rank is n minus its zero count.
 inertia_exact applies Descartes' rule of signs to the characteristic
 polynomial; it counts positive roots exactly for polynomials whose roots
 are all real, which holds for characteristic polynomials of symmetric
-matrices, the only inputs this module sees.
+matrices, the only inputs this module sees. A fault in the twin classes
+could reach both routes alike, so the check independent of both is the
+float inertia from the whole matrix's Jacobi eigenvalues
+(checks.check_inertia_float_agreement).
 """
 
 from __future__ import annotations
@@ -142,6 +148,13 @@ def _twin_classes(a):
     return list(classes.values())
 
 
+def _class_values(a):
+    """(rep, s, D, b) for each twin class of the symmetric row list a: its
+    first row, size, diagonal and inner value. A singleton reads its
+    diagonal as b, and has no twin to give D - b."""
+    return [(c[0], len(c), a[c[0]][c[0]], a[c[0]][c[-1]]) for c in _twin_classes(a)]
+
+
 def _zero_block(q):
     """A zero principal block N of the square row list q, whose zero
     pattern is symmetric: q_ii = 0 and q_ij = 0 for i, j in N. Rows are
@@ -158,9 +171,7 @@ def _quotient(a):
     """Coefficients of p_A, highest degree first, as det(xI - Q) times
     (x - (D_i - b_i))^(s_i - 1) over the twin classes of A, with det(xI - Q)
     from Q's zero block when that block is the larger part."""
-    classes = _twin_classes(a)
-    # (rep, s, D, b); a singleton reads its diagonal as b and has no twin
-    cls = [(c[0], len(c), a[c[0]][c[0]], a[c[0]][c[-1]]) for c in classes]
+    cls = _class_values(a)
     q = [[a[r][t] * s for t, s, _, _ in cls] for r, _, _, _ in cls]
     for i, (_, s, d, b) in enumerate(cls):
         q[i][i] = d + (s - 1) * b
@@ -211,10 +222,29 @@ def inertia_exact(p: CharPoly) -> Inertia:
 
 def inertia_of_matrix(m: SymMatrix) -> Inertia:
     """Inertia from the signs of the leading principal minors along the
-    matrix's symmetric elimination: the pivot block holds every nonzero
-    eigenvalue, so the rank is the number of pivots and the rest are zero."""
-    steps, _, _, minus = matrices._bareiss([list(r) for r in m.rows])
-    return Inertia(len(steps) - minus, minus, m.n - len(steps))
+    symmetric elimination of S Q, S = diag(s_i) holding the twin class
+    sizes and Q the quotient, plus s_i - 1 copies of sign(D_i - b_i) for
+    each class.
+
+    S Q, with entries s_i a_(rep i, rep j) s_j and s_i (D_i + (s_i - 1) b_i)
+    on the diagonal, is an integer symmetric matrix congruent to the
+    symmetric form S^1/2 Q S^-1/2, which is A on the vectors constant on
+    each class; the vectors summing to zero on a class are eigenvectors for
+    D_i - b_i. So by Sylvester's law of inertia the two parts add up to
+    the inertia of A. In the elimination the pivot block holds every
+    nonzero eigenvalue, so the rank is the number of pivots and the rest
+    are zero."""
+    a = m.rows
+    cls = _class_values(a)
+    sq = [[s * a[r][t] * u for t, u, _, _ in cls] for r, s, _, _ in cls]
+    plus = minus = 0
+    for i, (_, s, d, b) in enumerate(cls):
+        sq[i][i] = s * (d + (s - 1) * b)
+        # the class's s - 1 eigenvalues D - b
+        plus, minus = plus + (s - 1) * (d > b), minus + (s - 1) * (d < b)
+    steps, _, _, negative = matrices._bareiss(sq)
+    plus, minus = plus + len(steps) - negative, minus + negative
+    return Inertia(plus, minus, m.n - plus - minus)
 
 
 def _poly_derivative(coeffs):

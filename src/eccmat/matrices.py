@@ -5,10 +5,11 @@ the only number type of the exact layer, which holds its rows and nothing
 computed from them. One fraction-free elimination kernel with one pivot
 rule (1 x 1 and 2 x 2 diagonal steps) serves the determinant, the Schur
 complement (a positive integer multiple, so that it stays in the same
-type) and exact.inertia_of_matrix, which reads the rank and the signs of
-the leading principal minors from it. The characteristic polynomial does
-not read it. Everything is exact, so there is no floating-point fallback
-anywhere in this module.
+type) and exact.inertia_of_matrix, which runs it on the twin quotient's
+symmetric form and reads the rank and the signs of the leading principal
+minors from it. The characteristic polynomial does not read it.
+Everything is exact, so there is no floating-point fallback anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -44,13 +45,6 @@ class SymMatrix:
 
     def max_abs(self):
         return max((abs(x) for row in self.rows for x in row), default=0)
-
-    def to_text(self) -> str:
-        """Plain-text dump: first line the order, then one line per row of
-        space-separated integers."""
-        lines = [str(self.n)]
-        lines.extend(" ".join(str(x) for x in row) for row in self.rows)
-        return "\n".join(lines)
 
     def __eq__(self, other):
         return self.rows == getattr(other, "rows", None)
@@ -169,10 +163,10 @@ def _bareiss(a, block=None):
     that its multipliers are current, and the new last pivot is a_pp after
     a 1 x 1 step and c^2 / D after a 2 x 2 step.
     A row whose multipliers a_xp (or a_xi and a_xj) are zero is only scaled,
-    and skipped when the scale is 1. By Sylvester's identity the k-th pivot
-    is the leading k-square minor with the rows in pivot-row and the columns
-    in pivot-column order. With block=k only the first k indices are pivot
-    candidates.
+    and skipped when the scale is 1; otherwise its zero entries are skipped.
+    By Sylvester's identity the k-th pivot is the leading k-square minor
+    with the rows in pivot-row and the columns in pivot-column order. With
+    block=k only the first k indices are pivot candidates.
 
     Returns (steps, sign, last pivot, number of negative eigenvalues):
     steps lists the (pivot row, pivot column) pairs in pivot order, and
@@ -223,7 +217,8 @@ def _bareiss(a, block=None):
                     ax[b] = (ax[b] * scale - u * s[b]) // div
             elif scale != div:
                 for b in rest[k:]:
-                    ax[b] = ax[b] * scale // div
+                    if ax[b]:
+                        ax[b] = ax[b] * scale // div
         prev = scale if i == j else scale // prev
     return steps, sign, prev, negative
 

@@ -7,9 +7,9 @@ import random
 from fractions import Fraction
 from operator import mul
 
-from eccmat.exact import CharPoly, char_poly, inertia_exact
+from eccmat.exact import CharPoly, Inertia, char_poly, inertia_exact
 from eccmat.graphs import Graph, Tree, bfs_distances
-from eccmat.matrices import SymMatrix, bareiss_det, deep_mid_block, schur_complement
+from eccmat.matrices import SymMatrix, _bareiss, bareiss_det, deep_mid_block, schur_complement
 
 
 def pruefer_encode(t: Tree):
@@ -309,6 +309,13 @@ def random_symmetric(n: int, rng: random.Random, lo: int = -6, hi: int = 6) -> S
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = rng.randint(lo, hi)
     return SymMatrix(rows)
+
+
+def inertia_by_elimination(m: SymMatrix) -> Inertia:
+    """Inertia from the signs of the leading principal minors along the
+    symmetric elimination of the whole matrix, with no twin reduction."""
+    steps, _, _, minus = _bareiss([list(r) for r in m.rows])
+    return Inertia(len(steps) - minus, minus, m.n - len(steps))
 
 
 def rational_inertia_by_congruence(rows):

@@ -81,6 +81,23 @@ MUTANTS = [
     ("bareiss-two-by-two-pivot", "matrices.py",
      "prev = scale if i == j else scale // prev",
      "prev = scale", False),
+    ("extremal-tolerance-1e-3", "checks.py",
+     "passed = abs(value - target) <= FLOAT_TOL",
+     "passed = abs(value - target) <= 1e-3", False),
+    ("pair-block-always-passes", "checks.py",
+     '"pair-block-inertia", instance, expected, computed, expected == computed',
+     '"pair-block-inertia", instance, expected, computed, True', False),
+    ("core-minors-ignore-closed-forms", "checks.py",
+     "minors_ok = False",
+     "minors_ok = True", False),
+    # implied: the sum follows when every minor equals its closed form, and
+    # closed_forms fails the verdict otherwise
+    ("core-minors-report-expected-sum", "checks.py",
+     '"minor_sum": total,',
+     '"minor_sum": l * mid_center_form + (l * (l - 1) // 2) * mid_pair_form,', True),
+    ("inertia-drops-twin-signs", "exact.py",
+     "plus, minus = plus + (s - 1) * (d > b), minus + (s - 1) * (d < b)",
+     "plus, minus = plus, minus", False),
 ]
 
 

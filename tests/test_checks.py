@@ -1,10 +1,11 @@
+import itertools
 import json
 import random
 import sys
 
 import pytest
 
-from eccmat import checks, graphs
+from eccmat import checks, exact, graphs
 from eccmat.checks import (
     FLOAT_TOL,
     TreeFacts,
@@ -31,6 +32,7 @@ from eccmat.families import (
     center_pendant_tree,
     cycle,
     diametrical_examples,
+    enumerate_labeled_trees,
     path,
     pruefer_random,
     spider,
@@ -274,6 +276,17 @@ class TestRadiusBound:
         assert v.passed is False
         assert v.detail == f"bound {bound!r} violated by {bound - 1e-6!r}"
 
+    def test_extremal_just_above_the_bound_fails(self):
+        # equality is required on the extremal tree, so 1e-6 above the
+        # bound, beyond FLOAT_TOL, fails although it satisfies the bound
+        facts = TreeFacts(min_radius_tree(10))
+        assert facts.extremal and facts.meta.diameter == 3
+        bound = min_radius_bound(10)
+        facts.__dict__["eigenvalues"] = [bound + 1e-6] + facts.eigenvalues[1:]
+        v = check_radius_bound(facts)
+        assert v.passed is False
+        assert v.detail == f"bound {bound!r} violated by {bound + 1e-6!r}"
+
 
 class TestLeastEigenvalueBound:
     def test_extremal_equality(self):
@@ -290,6 +303,15 @@ class TestLeastEigenvalueBound:
         facts = TreeFacts(path(8))
         assert not facts.extremal
         bound = min_radius_bound(8)
+        facts.__dict__["eigenvalues"] = facts.eigenvalues[:-1] + [-bound + 1e-6]
+        v = check_least_eigenvalue_bound(facts)
+        assert v.passed is False
+        assert v.detail == f"bound {-bound!r} violated by {-bound + 1e-6!r}"
+
+    def test_extremal_just_above_the_negated_bound_fails(self):
+        facts = TreeFacts(min_radius_tree(10))
+        assert facts.extremal and facts.meta.diameter == 3
+        bound = min_radius_bound(10)
         facts.__dict__["eigenvalues"] = facts.eigenvalues[:-1] + [-bound + 1e-6]
         v = check_least_eigenvalue_bound(facts)
         assert v.passed is False
@@ -319,6 +341,27 @@ class TestPairBlockInertia:
                 assert v.computed["pivot_inertia"] == top
                 assert v.computed["complement_inertia"] == comp
 
+    @pytest.mark.parametrize("wrong", [0, 1, 2], ids=["total", "pivot", "complement"])
+    def test_each_inertia_must_match(self, monkeypatch, wrong):
+        # the verdict reads three inertias in turn: the whole block, the
+        # pivot block and the Schur complement; each one wrong must fail it
+        real = checks.inertia_of_matrix
+        orders = []
+
+        def faulty(m):
+            got = real(m)
+            orders.append(m.n)
+            if len(orders) - 1 == wrong:
+                return Inertia(got.n_plus + 1, got.n_minus - 1, got.n_zero)
+            return got
+
+        monkeypatch.setattr(checks, "inertia_of_matrix", faulty)
+        v = check_pair_block_inertia(2, 3)
+        assert orders == [6, 3, 3]
+        assert v.passed is False
+        key = ("inertia", "pivot_inertia", "complement_inertia")[wrong]
+        assert v.computed[key] != v.expected[key]
+
     def test_arguments_validated(self):
         with pytest.raises(ValueError):
             check_pair_block_inertia(0, 2)
@@ -346,6 +389,27 @@ class TestCoreMinorSums:
         v = check_core_minor_sums(d, l)
         assert v.passed, v.detail
         assert v.computed["single_sign"] and v.computed["nonzero"]
+
+    def test_one_minor_off_by_one_fails(self, monkeypatch):
+        # one minor off its closed form fails the verdict through
+        # closed_forms and names the deletion pair, whatever the sum does
+        d, l = 2, 3
+        size = 2 * l + 1
+        pairs = list(itertools.combinations(range(size), 2))
+        target = pairs.index((l, size - 1))  # a middle vertex and the center
+        real = checks.bareiss_det
+        calls = []
+
+        def off_by_one(m):
+            calls.append(m.n)
+            return real(m) + (len(calls) - 1 == target)
+
+        monkeypatch.setattr(checks, "bareiss_det", off_by_one)
+        v = check_core_minor_sums(d, l)
+        assert len(calls) == len(pairs)
+        assert v.passed is False
+        assert v.computed["closed_forms"] is False
+        assert v.detail.startswith(f"deletion pair ({l},{size - 1}): minor ")
 
     def test_arguments_validated(self):
         with pytest.raises(ValueError):
@@ -539,6 +603,36 @@ class TestTreeChecks:
         facts = TreeFacts(path(4), corrupt=True)
         outcomes = [v.passed for v in tree_checks(facts)]
         assert not all(outcomes)
+
+    def test_merged_twin_classes_fail(self, monkeypatch):
+        # both exact inertias read exact._twin_classes, so a fault there
+        # reaches both alike; merging two classes that are not twins must
+        # still fail whenever it changes an inertia: tree-inertia against
+        # the prediction, and the float inertia of the whole matrix
+        real = exact._twin_classes
+        trees = [t for n in (4, 5, 6) for t in list(enumerate_labeled_trees(n))[:40]]
+        trees += [pruefer_random(n, f"merge:{n}") for n in range(7, 25)]
+        changed = shared = 0
+        for t in trees:
+            clean = TreeFacts(t)
+            truth, count = clean.minors, len(real(clean.matrix.rows))
+            for x, y in itertools.combinations(range(count), 2):
+                def merged(a, x=x, y=y):
+                    c = real(a)
+                    return [c[x] + c[y]] + [k for i, k in enumerate(c) if i not in (x, y)]
+
+                monkeypatch.setattr(exact, "_twin_classes", merged)
+                f = TreeFacts(t)
+                failed = {v.theorem_id for v in tree_checks(f) if not v.passed}
+                monkeypatch.setattr(exact, "_twin_classes", real)
+                if f.minors == f.inertia == truth:
+                    continue
+                changed += 1
+                shared += f.minors == f.inertia
+                assert "tree-inertia" in failed, (t.edges(), x, y)
+                if f.inertia != truth:
+                    assert "inertia-float-agreement" in failed, (t.edges(), x, y)
+        assert changed >= 500 and shared >= 500
 
 
 class TestBfsBudget:

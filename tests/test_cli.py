@@ -1,10 +1,13 @@
 import hashlib
 import io
 import json
+import os
 import random
 import shutil
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +117,46 @@ class TestInertiaCommand:
             assert json.loads(out)["inertia"] == inertia
         with pytest.raises(AssertionError, match="char_poly called"):
             main(["spectrum", "--family", "path:6"])
+
+    def test_star_1000_under_a_second(self, capsys):
+        # two twin classes, so the elimination is 2 x 2; eliminating the
+        # whole matrix took minutes
+        start = time.process_time()
+        code, out, err = run(capsys, "inertia", "--family", "star:1000")
+        elapsed = time.process_time() - start
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["inertia"], report["rank"]) == ([1, 999, 0], 1000)
+        assert elapsed < 1.0
+
+
+def test_repeated_main_calls_match_fresh_processes(capsys, monkeypatch):
+    # main() builds its parser once per process; each call must print and
+    # return what the same call does alone in a fresh interpreter
+    calls = [
+        ["spectrum", "--bogus"],
+        ["--version"],
+        ["spectrum", "--family", "star:7"],
+        ["inertia", "--family", "spider:3,2", "--format", "csv"],
+        ["spectrum", "--family", "hypercube:3", "--dump-matrix"],
+        ["inertia", "--family", "cycle:6"],
+        ["inertia", "--family", "wheel:5"],
+        ["verify"],
+        ["spectrum", "--bogus"],
+        ["inertia", "--family", "star:7", "--format", "csv", "--dump-matrix"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    eccmat.cli.build_parser.cache_clear()
+    together = [run(capsys, *argv) for argv in calls]
+    assert eccmat.cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in together] == [2, 0, 0, 0, 0, 0, 2, 2, 2, 0]
+    assert together[0] == together[-2]
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=str(Path(eccmat.cli.__file__).parents[1]))
+    for argv, got in zip(calls, together):
+        proc = subprocess.run(
+            [sys.executable, "-m", "eccmat", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == got, argv
 
 
 class TestInputFiles:

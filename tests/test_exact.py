@@ -19,6 +19,7 @@ from eccmat.exact import (
 from eccmat.checks import min_radius_tree, tree_checks
 from eccmat.cli import main
 from eccmat.families import (
+    canonical_key,
     diametrical_examples,
     enumerate_labeled_trees,
     parse_family,
@@ -42,6 +43,7 @@ from _oracles import (
     char_poly_by_minors,
     char_poly_leverrier,
     haynsworth_check,
+    inertia_by_elimination,
     leibniz_det,
     random_symmetric,
     rational_inertia_by_congruence,
@@ -559,14 +561,25 @@ def ecc(g):
     return eccentricity_matrix(*eccentricity_rows(g))
 
 
+# the 36 full-rank and rank n-1 graphs of the dense-rank benchmark
+DENSE_RANK_TOKENS = (
+    [f"star:{n}" for n in range(9, 41, 4)]
+    + [f"spider:{k},2" for k in range(5, 20, 2)]
+    + [f"cycle:{2 * k}" for k in range(5, 20, 2)]
+    + [f"cocktail:{k}" for k in range(5, 20, 2)]
+    + [f"hypercube:{d}" for d in (3, 4, 5, 6)]
+)
+
+
 class TestInertiaOfMatrix:
     """The signs of the leading principal minors along the symmetric
-    elimination must give the inertia Descartes' rule gives."""
+    elimination of the twin quotient must give the inertia Descartes' rule
+    gives, and the inertia the whole matrix's elimination gives."""
 
     @staticmethod
     def agree(m):
         got = inertia_of_matrix(m)
-        assert got == inertia_exact(char_poly(m))
+        assert got == inertia_exact(char_poly(m)) == inertia_by_elimination(m)
         return got
 
     def test_one_by_one(self):
@@ -635,18 +648,89 @@ class TestInertiaOfMatrix:
                 self.agree(ecc(pruefer_random(n, f"minors:{n}:{i}")))
 
     def test_dense_graphs(self):
-        # the 36 full-rank and rank n-1 graphs of the dense-rank benchmark
-        tokens = (
-            [f"star:{n}" for n in range(9, 41, 4)]
-            + [f"spider:{k},2" for k in range(5, 20, 2)]
-            + [f"cycle:{2 * k}" for k in range(5, 20, 2)]
-            + [f"cocktail:{k}" for k in range(5, 20, 2)]
-            + [f"hypercube:{d}" for d in (3, 4, 5, 6)]
-        )
-        assert len(tokens) == 36
-        for token in tokens:
+        assert len(DENSE_RANK_TOKENS) == 36
+        for token in DENSE_RANK_TOKENS:
             m = ecc(parse_family(token))
             assert self.agree(m).n_zero == m.n - len(pivots(m))
+
+
+class TestInertiaThroughTwinQuotient:
+    """inertia_of_matrix eliminates S Q, S = diag(class sizes) and Q the
+    twin quotient, and adds each class's s - 1 eigenvalues D - b. It must
+    equal the whole matrix's elimination and the rational congruence
+    oracle, and make one elimination, on the k x k matrix S Q."""
+
+    @staticmethod
+    def agree(m, oracle=None):
+        got = inertia_of_matrix(m)
+        assert got == inertia_by_elimination(m)
+        assert tuple(got) == (oracle or rational_inertia_by_congruence(m.rows))
+        return got
+
+    def test_labeled_trees(self):
+        # the rational oracle runs once per shape: relabeling a tree
+        # permutes its matrix, which keeps the inertia
+        by_shape, count = {}, 0
+        for n in range(2, 8):
+            for t in enumerate_labeled_trees(n):
+                m = ecc(t)
+                key = canonical_key(t)
+                if key not in by_shape:
+                    by_shape[key] = rational_inertia_by_congruence(m.rows)
+                self.agree(m, by_shape[key])
+                count += 1
+        assert count == 18248 and len(by_shape) == 24
+
+    def test_dense_rank_graphs(self):
+        for token in DENSE_RANK_TOKENS:
+            m = ecc(parse_family(token))
+            got = self.agree(m)
+            assert got.n_zero == (1 if token.startswith("spider") else 0), token
+
+    def test_planted_twins(self):
+        # classes of every relation of D to b, with singletons between
+        # them, on rows planted at random positions
+        rng = random.Random(211)
+        seen = {"D > b": 0, "D < b": 0, "D = b": 0, "singleton": 0}
+        for trial in range(3000):
+            n = rng.randint(1, 11)
+            sizes = []
+            while sum(sizes) < n and rng.random() < 0.75:
+                sizes.append(rng.randint(2, max(2, n - sum(sizes))))
+            while sum(sizes) > n:
+                sizes.pop()
+            classes = []
+            for s in sizes:
+                b = rng.randint(-4, 4)
+                classes.append((s, b + rng.choice((-3, -1, 0, 0, 1, 3)), b))
+            m = planted_twins(n, classes, rng)
+            self.agree(m)
+            for c in exact._twin_classes(m.rows):
+                d, b = m.rows[c[0]][c[0]], m.rows[c[0]][c[-1]]
+                if len(c) == 1:
+                    seen["singleton"] += 1
+                else:
+                    seen["D > b" if d > b else "D < b" if d < b else "D = b"] += 1
+        assert min(seen.values()) >= 500, seen
+
+    def test_one_elimination_on_the_quotient(self, monkeypatch):
+        orders = []
+        real = matrices._bareiss
+        monkeypatch.setattr(matrices, "_bareiss", lambda a, *rest: orders.append(len(a)) or real(a, *rest))
+        # star:1000 has the center and the leaves, hypercube:6 its 32
+        # antipodal pairs
+        assert inertia_of_matrix(ecc(star(1000))) == Inertia(1, 999, 0)
+        assert inertia_of_matrix(ecc(parse_family("hypercube:6"))) == Inertia(32, 32, 0)
+        assert orders == [2, 32]
+
+    def test_structural_signs(self):
+        # a class of size s adds s - 1 eigenvalues D - b of their sign;
+        # J - I has one class with D - b = -1, and 2I + J one with D - b = 2
+        for n in range(2, 9):
+            ones = [[int(i != j) for j in range(n)] for i in range(n)]
+            assert self.agree(SymMatrix(ones)) == Inertia(1, n - 1, 0)
+            shifted = [[3 if i == j else 1 for j in range(n)] for i in range(n)]
+            assert self.agree(SymMatrix(shifted)) == Inertia(n, 0, 0)
 
 
 class TestRankExact:
